@@ -43,6 +43,7 @@ from .channels import (
     Superoperator,
     apply_channel,
     channel_power,
+    evolve_states,
     exact_evolution,
     expected_sq_deviation,
     lemma1_report,

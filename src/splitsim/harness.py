@@ -4,36 +4,34 @@ cost-scaling cross-checks.
 Error statistic everywhere: the maximum trace distance over a fixed panel of
 16 seeded pure input states. That is cheap, reproducible, and a lower bound
 on the worst-case error. Deterministic segment words are raised to the K-th
-power and randomized stages are composed as superoperator powers, which is
-mathematically identical to evaluating the full schedule and keeps sweeps to
-log(K) matrix products.
+power and each evolved vector b is compared with its target a in closed form,
+``Tr| |b><b| - |a><a| | = 2 ||b - <a|b> a||`` for unit a and b. Randomized
+stages go through :func:`splitsim.channels.evolve_states`, which picks real
+Liouville powering or fused direct propagation of the whole panel by flop
+count; both are exact evaluations of the full schedule.
 
-Desk-scale envelope: dim <= 16 instances, K up to a few thousand per sweep
-point, bisections capped at 2**22 segments.
+Envelope: dim <= 64 (checked by :class:`RunConfig` before anything is
+allocated), alg2 m <= 6, bisections capped at 2**22 segments.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import COMMUTING_ERROR_FLOOR
-from .channels import (
-    exact_evolution,
-    lemma1_report,
-    mixture_superoperator,
-    unvec,
-    vec,
-)
+from .config import COMMUTING_ERROR_FLOOR, SUPPORTED_MAX_DIM
+from .channels import evolve_states, exact_evolution, lemma1_report
 from .hamiltonians import (
     TermSet,
     random_termset,
     spin_chain_termset,
     termset_to_json,
 )
-from .matkernel import DensityMatrix, pure_density, spectral_norm, trace_norm
+from .matkernel import DensityMatrix, pure_density, spectral_norm
 from .schedules import (
     UnitaryMixture,
     alg1_stage_mixture,
@@ -91,6 +89,27 @@ def stable_json_dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _require_int(name: str, value, minimum: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
+def _require_finite(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
+def _require_qubits(n_qubits) -> None:
+    n = _require_int("n_qubits", n_qubits, 2)
+    if n >= 64 or 2**n > SUPPORTED_MAX_DIM:
+        raise ValueError(
+            f"n_qubits={n} gives dim 2**{n}, above the supported maximum {SUPPORTED_MAX_DIM}"
+        )
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """One experiment: a scheme, an instance, and a list of segment counts."""
@@ -115,13 +134,23 @@ class RunConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
+        for name in ("t", "norm_bound", "jx", "jz", "hx"):
+            _require_finite(name, getattr(self, name))
         if not self.t > 0:
             raise ValueError(f"t must be positive, got {self.t}")
-        ks = tuple(int(k) for k in self.k_list)
+        # Checked before any instance is built, so nothing oversized is allocated.
+        if self.n_qubits is not None:
+            _require_qubits(self.n_qubits)
+        if _require_int("d", self.d, 2) > SUPPORTED_MAX_DIM:
+            raise ValueError(f"d={self.d} is above the supported maximum {SUPPORTED_MAX_DIM}")
+        _require_int("m", self.m, 2)
+        _require_int("seed", self.seed, 0)
+        _require_int("panel_size", self.panel_size, 1)
+        if not hasattr(self.k_list, "__iter__"):
+            raise ValueError(f"k_list must be a list of integers, got {self.k_list!r}")
+        ks = tuple(_require_int("segment count", k, 1) for k in self.k_list)
         if not ks:
             raise ValueError("k_list must be nonempty")
-        if any(k < 1 for k in ks):
-            raise ValueError(f"segment counts must be >= 1, got {ks}")
         if any(b <= a for a, b in zip(ks, ks[1:])):
             raise ValueError(f"k_list must be strictly increasing, got {ks}")
         object.__setattr__(self, "k_list", ks)
@@ -170,12 +199,18 @@ def state_panel(dim: int, n_states: int, seed: int) -> np.ndarray:
     return out
 
 
+def _projectors(vecs: np.ndarray) -> np.ndarray:
+    """Stack of |v><v| for the rows of ``vecs``."""
+    return vecs[:, :, None] * vecs.conj()[:, None, :]
+
+
 class SchemeEvaluator:
     """Panel-max error of one scheme at any segment count, target cached.
 
     For deterministic schemes the evolved panel state is U_seg**K applied to
-    the vector; for randomized schemes the single-stage superoperator is
-    raised to the stage count and applied to the vectorized projector.
+    the vector, compared with its target in closed form; for randomized
+    schemes the panel projectors go through :func:`evolve_states` for the
+    stage count and the trace norms of the differences are taken.
     """
 
     def __init__(self, ts: TermSet, scheme: str, t: float, panel: np.ndarray):
@@ -185,10 +220,7 @@ class SchemeEvaluator:
         self.scheme = scheme
         self.t = float(t)
         self.panel = panel
-        u0 = exact_evolution(ts, t)
-        self._targets = [
-            np.outer(u0 @ v, (u0 @ v).conj()) for v in panel
-        ]
+        self._target_vecs = panel @ exact_evolution(ts, t).T  # rows U0 v
 
     def n_exponentials(self, k: int) -> int:
         m = self.ts.m
@@ -201,29 +233,19 @@ class SchemeEvaluator:
 
     def error(self, k: int) -> float:
         dt = self.t / k
+        targets = self._target_vecs
         if self.scheme in ("trotter", "strang"):
-            if self.scheme == "trotter":
-                seg = word_unitary(self.ts, trotter_word(self.ts, dt, 1))
-            else:
-                seg = word_unitary(self.ts, strang_word(self.ts, dt, 1))
-            u = np.linalg.matrix_power(seg, k)
-            worst = 0.0
-            for v, target in zip(self.panel, self._targets):
-                w = u @ v
-                worst = max(worst, trace_norm(np.outer(w, w.conj()) - target))
-            return worst
-        if self.scheme == "alg1":
-            stage = mixture_superoperator(self.ts, alg1_stage_mixture(self.ts, dt))
-        else:
-            stage = mixture_superoperator(self.ts, alg2_stage_mixture(self.ts, dt))
-        s = np.linalg.matrix_power(stage.mat, self.stage_count(k))
-        d = self.ts.dim
-        worst = 0.0
-        for v, target in zip(self.panel, self._targets):
-            rho = np.outer(v, v.conj())
-            out = unvec(s @ vec(rho), d)
-            worst = max(worst, trace_norm(out - target))
-        return worst
+            word_fn = trotter_word if self.scheme == "trotter" else strang_word
+            seg = word_unitary(self.ts, word_fn(self.ts, dt, 1))
+            evolved = self.panel @ np.linalg.matrix_power(seg, k).T  # rows U v
+            overlaps = np.einsum("ij,ij->i", targets.conj(), evolved)
+            return float(2.0 * np.linalg.norm(evolved - overlaps[:, None] * targets, axis=1).max())
+        mix_fn = alg1_stage_mixture if self.scheme == "alg1" else alg2_stage_mixture
+        out = evolve_states(
+            self.ts, mix_fn(self.ts, dt), self.stage_count(k), _projectors(self.panel)
+        )
+        diffs = out - _projectors(targets)
+        return float(np.linalg.svd(diffs, compute_uv=False).sum(axis=1).max())
 
 
 def fit_loglog(points) -> tuple[float, float, float]:
@@ -349,33 +371,15 @@ def stage_order_ratios(ts: TermSet, dts, panel_seed: int = 7, panel_size: int = 
     """
     dts = [float(dt) for dt in dts]
     panel = state_panel(ts.dim, panel_size, panel_seed)
+    psi0 = pure_density(panel[0])
     out: dict = {"dts": dts}
-    for scheme, stages_fn, mix_fn in (
-        ("alg1", lambda: ts.m, alg1_stage_mixture),
-        ("alg2", lambda: 1, alg2_stage_mixture),
-    ):
+    for scheme, mix_fn in (("alg1", alg1_stage_mixture), ("alg2", alg2_stage_mixture)):
         errors, bounds = [], []
         for dt in dts:
-            mix = mix_fn(ts, dt)
-            stages = stages_fn()
-            rep = lemma1_report(
-                ts,
-                mix,
-                stages,
-                dt,
-                pure_density(panel[0]),
-                pure_density(panel[0]),
-            )
-            bounds.append(rep.bound)
-            stage = mixture_superoperator(ts, mix)
-            s = np.linalg.matrix_power(stage.mat, stages)
-            u0 = exact_evolution(ts, dt)
-            worst = 0.0
-            for v in panel:
-                rho = np.outer(v, v.conj())
-                target = u0 @ rho @ u0.conj().T
-                worst = max(worst, trace_norm(unvec(s @ vec(rho), ts.dim) - target))
-            errors.append(worst)
+            # One segment of length dt: m single-term stages for alg1, one for alg2.
+            ev = SchemeEvaluator(ts, scheme, dt, panel)
+            errors.append(ev.error(1))
+            bounds.append(lemma1_report(ts, mix_fn(ts, dt), ev.stage_count(1), dt, psi0, psi0).bound)
         out[scheme] = {
             "errors": errors,
             "bounds": bounds,
@@ -608,6 +612,8 @@ def scaling_cross_check(
     from scheme to its grid; by default each scheme uses its documented grid.
     Unreachable cells are reported, not raised.
     """
+    _require_qubits(n_qubits)
+    _require_int("panel_size", panel_size, 1)
     ts = spin_chain_termset(n_qubits, *couplings)
     panel = state_panel(ts.dim, panel_size, seed)
     per_scheme: dict = {}

@@ -3,8 +3,13 @@ import pytest
 
 from splitsim.channels import (
     Superoperator,
+    _evolve_direct,
+    _evolve_liouville,
+    _propagation_path,
+    _word_stack,
     apply_channel,
     channel_power,
+    evolve_states,
     exact_evolution,
     expected_sq_deviation,
     identity_superoperator,
@@ -273,3 +278,55 @@ class TestLemma1Report:
             "observed", "observed_raw", "metadata",
         }
         assert doc["metadata"]["seed"] == 5
+
+
+class TestEvolveStates:
+    """Both exact paths of the core against the complex superoperator."""
+
+    @pytest.mark.parametrize("mix_fn", [alg1_stage_mixture, alg2_stage_mixture])
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_paths_match_superoperator_oracle(self, mix_fn, d, rng):
+        ts = random_termset(d, 3, 1.0, seed=d)
+        mix = mix_fn(ts, 0.15)
+        probs, us = _word_stack(ts, mix)
+        states = [
+            pure_density(random_unit_vector(rng, d)),
+            DensityMatrix(random_density_mat(rng, d)),
+        ]
+        rhos = np.stack([s.mat for s in states])
+        stage = mixture_superoperator(ts, mix)
+        for stages in (1, 2, 7, 64):
+            oracle = np.stack(
+                [apply_channel(channel_power(stage, stages), s).mat for s in states]
+            )
+            for path in (_evolve_direct, _evolve_liouville):
+                got = path(probs, us, stages, rhos)
+                assert np.max(np.abs(got - oracle)) <= 1e-12, (path.__name__, stages)
+
+    def test_path_choice_is_a_flop_count(self):
+        # a pure function of (d, words, states, stages): same answer every call
+        for args in ((8, 6, 16, 300), (24, 3, 16, 768), (64, 720, 16, 64)):
+            assert len({_propagation_path(*args) for _ in range(3)}) == 1
+        for d in (2, 4, 8, 16, 24, 64):
+            for n_words in (2, 6, 720):
+                assert _propagation_path(d, n_words, 1, 1) == "direct"
+        for n_words, n_states in ((2, 1), (6, 16), (720, 16)):
+            assert _propagation_path(8, n_words, n_states, 2**20) == "liouville"
+        # the d=64 envelope point propagates directly at modest stage counts
+        assert _propagation_path(64, 6, 16, 64) == "direct"
+
+    def test_public_entry_agrees_with_direct_path(self, ts, rng):
+        mix = alg2_stage_mixture(ts, 0.1)
+        probs, us = _word_stack(ts, mix)
+        rhos = np.stack([random_density_mat(rng, 4) for _ in range(3)])
+        for stages in (1, 1000):
+            got = evolve_states(ts, mix, stages, rhos)
+            assert got.shape == rhos.shape
+            assert np.max(np.abs(got - _evolve_direct(probs, us, stages, rhos))) <= 1e-12
+
+    def test_rejects_bad_arguments(self, ts):
+        mix = alg1_stage_mixture(ts, 0.1)
+        with pytest.raises(ValueError, match="stage count"):
+            evolve_states(ts, mix, 0, np.eye(4)[None] / 4)
+        with pytest.raises(ValueError, match="stacked"):
+            evolve_states(ts, mix, 1, np.eye(4) / 4)

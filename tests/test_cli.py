@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -42,6 +43,27 @@ class TestSimulate:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"scheme": "na", "t": 1.0, "k_list": [2, 4, 8]}))
         assert main(["simulate", "--config", str(path)]) == EXIT_INVALID
+
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"panel_size": 0}, "panel_size"),
+            ({"k_list": [8.7, 16, 32]}, "integer"),
+            ({"t": "1"}, "finite"),
+            ({"d": 200, "n_qubits": None}, "supported maximum"),
+        ],
+    )
+    def test_malformed_config_exits_two(self, tmp_path, capsys, override, message):
+        doc = {"scheme": "alg1", "t": 1.0, "k_list": [8, 16, 32], "seed": 7, "n_qubits": 2}
+        doc.update(override)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        assert main(["simulate", "--config", str(path)]) == EXIT_INVALID
+        assert time.perf_counter() - start < 5.0
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
 
 
 class TestSweep:
@@ -141,6 +163,14 @@ class TestScaling:
         assert main(["scaling", "--config", str(path)]) == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert abs(doc["per_scheme"]["alg2"]["exponent_t"] - 1.5) <= 0.25
+
+
+    @pytest.mark.parametrize("override", [{"panel_size": 0}, {"n_qubits": 7}])
+    def test_malformed_scaling_config_exits_two(self, tmp_path, capsys, override):
+        path = tmp_path / "scaling.json"
+        path.write_text(json.dumps({"schemes": ["alg2"], **override}))
+        assert main(["scaling", "--config", str(path)]) == EXIT_INVALID
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestUsage:

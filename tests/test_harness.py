@@ -14,7 +14,7 @@ from splitsim.harness import (
     sweep_error_vs_K,
 )
 from splitsim.hamiltonians import spin_chain_termset
-from splitsim.schedules import trotter_word, word_unitary
+from splitsim.schedules import strang_word, trotter_word, word_unitary
 
 
 @pytest.fixture
@@ -44,6 +44,27 @@ class TestRunConfig:
     def test_from_json_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown config keys"):
             RunConfig.from_json({"scheme": "trotter", "t": 1.0, "k_list": [2, 4], "zz": 1})
+
+    @pytest.mark.parametrize(
+        "key, value, match",
+        [
+            ("panel_size", 0, "panel_size"),
+            ("k_list", [8.7, 16], "integer"),
+            ("k_list", 8, "list of integers"),
+            ("t", "1", "finite"),
+            ("t", float("nan"), "finite"),
+            ("norm_bound", float("inf"), "finite"),
+            ("d", 200, "supported maximum"),
+            ("d", "4", "integer"),
+            ("n_qubits", 7, "supported maximum"),
+            ("n_qubits", 10**6, "supported maximum"),
+            ("seed", 1.5, "integer"),
+        ],
+    )
+    def test_rejects_malformed_fields(self, key, value, match):
+        doc = {"scheme": "alg1", "t": 1.0, "k_list": [8, 16], key: value}
+        with pytest.raises(ValueError, match=match):
+            RunConfig.from_json(doc)
 
     def test_round_trip(self, chain_cfg):
         doc = chain_cfg.to_json()
@@ -102,6 +123,24 @@ class TestSchemeEvaluator:
         )
         assert np.max(np.abs(u_full - u_seg)) <= 1e-12
         assert ev.error(k) > 0
+
+    def test_closed_form_matches_svd_distance(self):
+        # deterministic panels use 2||b - <a|b>a||; check it against Tr|.|
+        from splitsim.channels import exact_evolution
+        from splitsim.matkernel import trace_norm
+
+        ts = spin_chain_termset(2, 1.0, 1.0, 1.0)
+        panel = state_panel(4, 4, seed=3)
+        for scheme, k in (("trotter", 5), ("strang", 3)):
+            word_fn = trotter_word if scheme == "trotter" else strang_word
+            u = word_unitary(ts, word_fn(ts, 1.0 / k, k))
+            u0 = exact_evolution(ts, 1.0)
+            oracle = max(
+                trace_norm(np.outer(u @ v, (u @ v).conj()) - np.outer(u0 @ v, (u0 @ v).conj()))
+                for v in panel
+            )
+            got = SchemeEvaluator(ts, scheme, 1.0, panel).error(k)
+            assert abs(got - oracle) <= 1e-12
 
     def test_exponential_counts(self):
         ts = spin_chain_termset(2, 1.0, 1.0, 1.0)
