@@ -1,9 +1,10 @@
 """Numerical verification of the third-order obstruction.
 
 Maximizes the alternating triple-product sum S over the constrained box slice
-{0 <= x_i <= 1, sum x_i = 2} (grid enumeration plus coordinate-ascent polish),
-audits arbitrary schedules for the per-stage obstruction, and converts the
-resulting Omega(dt^3) floor into a minimum exponential count.
+{0 <= x_i <= 1, sum x_i = 2} (an exact integer grid scan, then coordinate
+ascent whose pair moves are solved as exact quadratics), audits arbitrary
+schedules for the per-stage obstruction, and converts the resulting
+Omega(dt^3) floor into a minimum exponential count.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .config import NORMALIZATION_ATOL, POLISH_IMPROVEMENT_TOL
 from .schedules import Word
-from .series import _s_value_batch, interleaving_profile, s_value
+from .series import interleaving_profile, s_value
 
 __all__ = [
     "Lemma2Result",
@@ -81,12 +82,14 @@ def _integer_compositions(total: int, parts: int, cap: int) -> np.ndarray:
     return rec(total, parts)
 
 
-def _cubic_line_max(x: np.ndarray, i: int, j: int, lo: float, hi: float) -> tuple[float, float]:
+def _pair_move_max(x: np.ndarray, i: int, j: int, lo: float, hi: float) -> tuple[float, float]:
     """Maximize S(x + d*e_i - d*e_j) over d in [lo, hi].
 
-    S restricted to the pair move is a cubic in d; fit it on four points,
-    then evaluate the true S at the interior critical points and endpoints.
-    Returns (best_d, best_value).
+    Every triple holds x_i and x_j at most once each, so S along the pair move
+    is a quadratic in d, and the parabola through the values at lo, the
+    midpoint and hi is exact. Its vertex is the only interior candidate and
+    counts only when the curvature is negative; candidates are scored by the
+    true S. Returns (best_d, best_value).
     """
     span = hi - lo
 
@@ -96,20 +99,18 @@ def _cubic_line_max(x: np.ndarray, i: int, j: int, lo: float, hi: float) -> tupl
         y[j] -= d
         return s_value(y)
 
-    us = np.array([0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0])
-    vals = np.array([f(lo + u * span) for u in us])
-    poly = np.polyfit(us, vals, 3)
-    crit = np.roots(np.polyder(poly))
-    candidates = [0.0, 1.0]
-    for r in crit:
-        if abs(r.imag) < 1e-12 and 0.0 < r.real < 1.0:
-            candidates.append(float(r.real))
-    best_d, best_v = lo, float(vals[0])
-    for u in candidates[1:]:
-        d = lo + u * span
-        v = f(d)
-        if v > best_v:
-            best_d, best_v = d, v
+    f0, fm, f1 = f(lo), f(lo + 0.5 * span), f(hi)
+    # q(u) = curv*u**2 + slope*u + f0 passes through all three values, u in [0, 1].
+    curv = 2.0 * (f1 - 2.0 * fm + f0)
+    slope = f1 - f0 - curv
+    best_d, best_v = (lo, f0) if f0 >= f1 else (hi, f1)
+    if curv < 0.0:
+        u = -slope / (2.0 * curv)
+        if 0.0 < u < 1.0:
+            d = lo + u * span
+            v = f(d)
+            if v > best_v:
+                best_d, best_v = d, v
     return best_d, best_v
 
 
@@ -126,7 +127,7 @@ def _polish(x0: Sequence[float]) -> tuple[np.ndarray, float]:
                 hi = min(1.0 - x[i], x[j])
                 if hi - lo < 1e-15:
                     continue
-                d, v = _cubic_line_max(x, i, j, lo, hi)
+                d, v = _pair_move_max(x, i, j, lo, hi)
                 if v > best:
                     sweep_gain += v - best
                     x[i] += d
@@ -140,9 +141,9 @@ def lemma2_max(n: int, grid_steps: int | None = None) -> Lemma2Result:
     """Maximize S over {0 <= x_i <= 1, sum x_i = 2} numerically.
 
     For n <= 9 the feasible set is enumerated on a grid of resolution
-    2/grid_steps (defaults: 40 for n <= 6, 20 for n in 7..9) and the best cell
-    is polished by coordinate ascent; ties break toward the lexicographically
-    smallest grid point. Larger n skips the grid and polishes several seeded
+    2/grid_steps (defaults: 40 for n <= 6, 20 for n in 7..9), scored in exact
+    integer counts, and the best cell is polished by coordinate ascent; ties
+    break toward the lexicographically smallest grid point. Larger n skips the grid and polishes several seeded
     starting points instead. The maximum always lands strictly below 1/3; at
     odd n the maximizer is the uniform point x_i = 2/n.
     """
@@ -175,16 +176,16 @@ def lemma2_max(n: int, grid_steps: int | None = None) -> Lemma2Result:
     h = 2.0 / grid_steps
     cap = grid_steps // 2  # enforces x_i <= 1
     table = _integer_compositions(grid_steps, n, cap)
-    best_v, best_row = -np.inf, None
+    # S of the counts is an exact integer (h**3 times S of the point), so ties
+    # are exact and argmax keeps the lexicographically smallest grid point.
+    best_v, best_row = -1, None
     chunk = 500_000
     for start in range(0, len(table), chunk):
-        xs = table[start : start + chunk].astype(float) * h
-        vals = _s_value_batch(xs)
+        vals = s_value(table[start : start + chunk])
         i = int(np.argmax(vals))
         if vals[i] > best_v:
-            best_v = float(vals[i])
-            best_row = xs[i]
-    x, v = _polish(best_row)
+            best_v, best_row = vals[i], table[start + i]
+    x, v = _polish(best_row * h)
     return Lemma2Result(
         n=n, max_s=v, argmax=tuple(x), method="grid", grid_steps=grid_steps
     )

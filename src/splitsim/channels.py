@@ -49,7 +49,6 @@ __all__ = [
     "evolve_states",
     "exact_evolution",
     "expected_sq_deviation",
-    "identity_superoperator",
     "lemma1_report",
     "mean_unitary",
     "mixture_superoperator",
@@ -84,10 +83,6 @@ class Superoperator:
         m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "mat", m)
-
-
-def identity_superoperator(dim: int) -> Superoperator:
-    return Superoperator(dim=dim, mat=np.eye(dim**2, dtype=complex))
 
 
 def exact_evolution(ts: TermSet, t: float) -> np.ndarray:

@@ -111,8 +111,19 @@ def _cmd_expand(args) -> int:
     return EXIT_OK
 
 
+_SCALING_KEYS = frozenset({
+    "t_values", "eps_values", "schemes", "fixed_eps", "fixed_t", "n_qubits",
+    "couplings", "seed", "panel_size", "k_cap", "out",
+})
+
+
 def _cmd_scaling(args) -> int:
     doc = _load_json(args.config)
+    if not isinstance(doc, dict):
+        raise ValueError("the scaling config must be a JSON object")
+    unknown = set(doc) - _SCALING_KEYS
+    if unknown:
+        raise ValueError(f"unknown scaling config keys: {sorted(unknown)}")
     kwargs = {}
     for key in ("fixed_eps", "fixed_t", "seed", "panel_size", "k_cap", "n_qubits"):
         if key in doc:

@@ -21,7 +21,6 @@ __all__ = [
     "PAULI_X",
     "PAULI_Z",
     "TermSet",
-    "is_commuting",
     "min_pairwise_commutator",
     "random_termset",
     "spin_chain_termset",
@@ -98,29 +97,17 @@ def min_pairwise_commutator(ts: TermSet) -> float:
     return float(best)
 
 
-def is_commuting(ts: TermSet, tol: float = 1e-8) -> bool:
-    """True when every pair of terms commutes within ``tol``.
-
-    Commuting instances are legal but degenerate: every positive-time
-    splitting reproduces the evolution exactly, so error fits collapse.
-    """
-    for j in range(ts.m):
-        for k in range(j + 1, ts.m):
-            a, b = ts.terms[j], ts.terms[k]
-            if spectral_norm(a @ b - b @ a) > tol:
-                return False
-    return True
-
-
 def random_termset(d: int, m: int, norm_bound: float, seed: int) -> TermSet:
     """Reproducible random term set.
 
     Each term is a Gaussian Hermitian matrix (A + A^dagger)/2 with independent
     standard-normal real and imaginary parts, rescaled so its spectral norm
-    equals ``norm_bound``. If every pairwise commutator of a draw falls below
+    equals ``norm_bound``. If any pairwise commutator of a draw falls below
     the degeneracy floor the draw is discarded and the seed bumped by one, so
     returned instances are always noncommuting; the output is still a pure
-    function of ``(d, m, norm_bound, seed)``.
+    function of ``(d, m, norm_bound, seed)``. Commutator norms scale as
+    norm_bound**2, so a tiny bound can exhaust the attempts: that raises
+    ValueError.
     """
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
@@ -140,8 +127,10 @@ def random_termset(d: int, m: int, norm_bound: float, seed: int) -> TermSet:
         ts = TermSet(dim=d, terms=tuple(terms), labels=tuple(f"H{k + 1}" for k in range(m)))
         if min_pairwise_commutator(ts) >= DEGENERATE_COMMUTATOR_FLOOR:
             return ts
-    raise RuntimeError(
-        f"could not draw a noncommuting term set after {_MAX_REGENERATION_ATTEMPTS} attempts"
+    raise ValueError(
+        f"no draw in {_MAX_REGENERATION_ATTEMPTS} attempts has every pairwise commutator norm "
+        f"at or above the degeneracy floor {DEGENERATE_COMMUTATOR_FLOOR:g} "
+        f"(norm_bound={norm_bound:g}; commutator norms scale as norm_bound**2)"
     )
 
 

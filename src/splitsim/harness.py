@@ -126,7 +126,6 @@ class RunConfig:
     m: int = 2
     norm_bound: float = 1.0
     panel_size: int = _PANEL_SIZE
-    min_r2: float = 0.98
     drop_bend_points: bool = True
     bend_residual_tol: float = 0.25
     out: str | None = None
@@ -177,7 +176,6 @@ class RunConfig:
             "m": self.m,
             "norm_bound": self.norm_bound,
             "panel_size": self.panel_size,
-            "min_r2": self.min_r2,
             "drop_bend_points": self.drop_bend_points,
             "bend_residual_tol": self.bend_residual_tol,
             "out": self.out,
@@ -553,25 +551,25 @@ def lemma1_campaign(n_instances: int, seed: int, dominance_slack: float = 1e-8) 
     )
 
 
-def _bisect_min_k(ev: SchemeEvaluator, eps: float, k_cap: int) -> int | None:
+def _bisect_min_k(ev: SchemeEvaluator, eps: float, k_cap: int) -> tuple[int, float] | None:
     """Smallest K with panel error <= eps, by doubling then bisection.
 
     Relies on the monotone decay of the error over the tested envelope.
-    Returns None when eps is unreachable below the cap.
+    Returns (K, error at K), or None when eps is unreachable below the cap.
     """
     k = 1
-    while ev.error(k) > eps:
+    while (err := ev.error(k)) > eps:
         k *= 2
         if k > k_cap:
             return None
     lo, hi = max(1, k // 2), k
     while lo < hi:
         mid = (lo + hi) // 2
-        if ev.error(mid) <= eps:
-            hi = mid
+        if (e := ev.error(mid)) <= eps:
+            hi, err = mid, e
         else:
             lo = mid + 1
-    return lo
+    return hi, err
 
 
 @dataclass(frozen=True)
@@ -628,11 +626,12 @@ def scaling_cross_check(
         t_cells, failures = [], []
         for t in t_grid:
             ev = SchemeEvaluator(ts, scheme, t, panel)
-            k = _bisect_min_k(ev, fixed_eps, k_cap)
-            if k is None:
+            found = _bisect_min_k(ev, fixed_eps, k_cap)
+            if found is None:
                 failures.append({"t": t, "eps": fixed_eps, "reason": "k_cap"})
                 continue
-            t_cells.append({"t": t, "K": k, "N": ev.n_exponentials(k), "achieved": ev.error(k)})
+            k, achieved = found
+            t_cells.append({"t": t, "K": k, "N": ev.n_exponentials(k), "achieved": achieved})
         exponent_t = None
         if len(t_cells) >= 3:
             lx = np.log([c["t"] for c in t_cells])
@@ -642,11 +641,12 @@ def scaling_cross_check(
         eps_cells = []
         ev = SchemeEvaluator(ts, scheme, fixed_t, panel)
         for eps in eps_values:
-            k = _bisect_min_k(ev, eps, k_cap)
-            if k is None:
+            found = _bisect_min_k(ev, eps, k_cap)
+            if found is None:
                 failures.append({"t": fixed_t, "eps": eps, "reason": "k_cap"})
                 continue
-            eps_cells.append({"eps": eps, "K": k, "N": ev.n_exponentials(k), "achieved": ev.error(k)})
+            k, achieved = found
+            eps_cells.append({"eps": eps, "K": k, "N": ev.n_exponentials(k), "achieved": achieved})
         exponent_eps = None
         if len(eps_cells) >= 2:
             lx = np.log([1.0 / c["eps"] for c in eps_cells])

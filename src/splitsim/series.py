@@ -15,7 +15,6 @@ order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -248,38 +247,38 @@ def interleaving_profile(w: Word, a: int, b: int) -> InterleavingProfile:
     return InterleavingProfile(pair=(lead, other), x=x, total=float(sum(x)))
 
 
-@lru_cache(maxsize=None)
-def _parity_triples(n: int) -> tuple[tuple[int, int, int], ...]:
-    """0-based index triples i<j<k with k-i even and j-i odd."""
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (j - i) % 2 == 0:
-                continue
-            for k in range(j + 1, n):
-                if (k - i) % 2 == 0:
-                    out.append((i, j, k))
-    return tuple(out)
-
-
-def s_value(x: Sequence[float]) -> float:
+def s_value(x: Sequence[float] | np.ndarray) -> float | np.ndarray:
     """Sum of x_i x_j x_k over triples i<j<k with k-i even and j-i odd.
 
     On an alternating block profile this is exactly the combined aba + bab
     third-order coefficient of the schedule: the odd/even index parities pick
     out the blocks of the two terms.
+
+    One pass over the middle index: j pairs every opposite-parity entry before
+    it with every one after it, so S = sum_j x_j P_j (T_j - P_j), where P_j is
+    the running sum of the opposite parity before j and T_j is that parity's
+    total. A 1-D point gives a float. A 2-D array gives one S per row, summed
+    exactly (int64) when the rows are integers.
     """
-    xs = [float(v) for v in x]
-    return float(sum(xs[i] * xs[j] * xs[k] for i, j, k in _parity_triples(len(xs))))
-
-
-def _s_value_batch(x: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`s_value` over the rows of ``x``."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros(x.shape[0])
-    for i, j, k in _parity_triples(x.shape[1]):
-        out += x[:, i] * x[:, j] * x[:, k]
-    return out
+    arr = np.asarray(x)
+    if arr.ndim == 2:
+        acc = np.result_type(arr.dtype, np.int64)
+        cols = arr.T
+        totals = [cols[q::2].sum(axis=0, dtype=acc) for q in (0, 1)]
+        out = np.zeros(len(arr), dtype=acc)
+    elif arr.ndim == 1:
+        # Python scalars: the same loop over numpy scalars is several times slower.
+        cols = arr.tolist()
+        totals = [sum(cols[0::2]), sum(cols[1::2])]
+        out = 0
+    else:
+        raise ValueError(f"expected a point or a 2-D array of rows, got {arr.ndim} dimensions")
+    running = [0, 0]
+    for j, v in enumerate(cols):
+        p, q = j % 2, 1 - j % 2
+        out = out + v * running[q] * (totals[q] - running[q])
+        running[p] = running[p] + v
+    return out if arr.ndim == 2 else float(out)
 
 
 def series_to_json(s: TruncatedSeries) -> dict:

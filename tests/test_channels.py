@@ -12,7 +12,6 @@ from splitsim.channels import (
     evolve_states,
     exact_evolution,
     expected_sq_deviation,
-    identity_superoperator,
     lemma1_report,
     mean_unitary,
     mixture_superoperator,
@@ -121,7 +120,7 @@ class TestChannelPower:
             assert abs(np.trace(out.mat) - 1.0) <= 1e-9
 
     def test_rejects_negative(self, ts):
-        s = identity_superoperator(4)
+        s = Superoperator(dim=4, mat=np.eye(16))
         with pytest.raises(ValueError):
             channel_power(s, -1)
 
@@ -129,7 +128,7 @@ class TestChannelPower:
 class TestApplyChannel:
     def test_identity_channel(self, rng):
         rho = DensityMatrix(random_density_mat(rng, 3))
-        out = apply_channel(identity_superoperator(3), rho)
+        out = apply_channel(Superoperator(dim=3, mat=np.eye(9)), rho)
         assert spectral_norm(out.mat - rho.mat) <= 1e-14
 
     def test_bit_flip(self):
@@ -139,7 +138,7 @@ class TestApplyChannel:
 
     def test_dim_mismatch(self, rng):
         with pytest.raises(ValueError, match="dim"):
-            apply_channel(identity_superoperator(2), DensityMatrix(random_density_mat(rng, 4)))
+            apply_channel(Superoperator(dim=2, mat=np.eye(4)), DensityMatrix(random_density_mat(rng, 4)))
 
     def test_output_satisfies_state_invariants(self, ts, rng):
         s = mixture_superoperator(ts, alg2_stage_mixture(ts, 0.2))

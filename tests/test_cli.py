@@ -52,6 +52,7 @@ class TestSimulate:
             ({"k_list": [8.7, 16, 32]}, "integer"),
             ({"t": "1"}, "finite"),
             ({"d": 200, "n_qubits": None}, "supported maximum"),
+            ({"min_r2": "banana"}, "unknown config keys"),
         ],
     )
     def test_malformed_config_exits_two(self, tmp_path, capsys, override, message):
@@ -64,6 +65,16 @@ class TestSimulate:
         assert time.perf_counter() - start < 5.0
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+
+
+    def test_degenerate_random_draw_exits_two(self, tmp_path, capsys):
+        # Commutators scale as norm_bound**2 (about 1e-8 here), below the
+        # 1e-6 degeneracy floor on every draw.
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"scheme": "alg1", "t": 1.0, "k_list": [1, 2, 3], "norm_bound": 1e-4}))
+        assert main(["simulate", "--config", str(path)]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "degeneracy floor" in err and "norm_bound=0.0001" in err
 
 
 class TestSweep:
@@ -171,6 +182,17 @@ class TestScaling:
         path.write_text(json.dumps({"schemes": ["alg2"], **override}))
         assert main(["scaling", "--config", str(path)]) == EXIT_INVALID
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [({"schemes": ["alg2"], "fixed_epsilon": 5}, "fixed_epsilon"), (["alg2"], "JSON object")],
+    )
+    def test_rejected_config_exits_two(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "scaling.json"
+        path.write_text(json.dumps(doc))
+        assert main(["scaling", "--config", str(path)]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
 
 
 class TestUsage:

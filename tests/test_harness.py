@@ -274,7 +274,8 @@ class TestCostCalibration:
         predicted = min_exponentials(1.0, eps, c)
         ts = cfg.build_termset()
         ev = SchemeEvaluator(ts, "strang", 1.0, state_panel(4, 16, 7))
-        actual = _bisect_min_k(ev, eps, 2**20)
+        actual, achieved = _bisect_min_k(ev, eps, 2**20)
+        assert achieved == ev.error(actual) <= eps
         assert 0.5 <= predicted / actual <= 2.0
 
     def test_rejects_first_order_calibration(self):

@@ -1,0 +1,103 @@
+"""The Lemma-2 triple sum and its maximizer against a brute-force oracle.
+
+The oracle below is the definition of S written as a plain triple loop; it
+shares no code with the package.
+"""
+
+import itertools
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from splitsim.bounds import _pair_move_max, _polish, lemma2_max
+from splitsim.series import s_value
+
+THIRD = 1.0 / 3.0
+
+
+def brute_s(x):
+    """Sum of x_i x_j x_k over i<j<k with j-i odd and k-i even."""
+    n = len(x)
+    total = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                if (j - i) % 2 == 1 and (k - i) % 2 == 0:
+                    total += x[i] * x[j] * x[k]
+    return total
+
+
+def feasible_point(rng, n):
+    while True:
+        x = rng.dirichlet(np.ones(n)) * 2.0
+        if x.max() <= 1.0:
+            return x
+
+
+class TestSValue:
+    @settings(max_examples=200, deadline=None)
+    @given(x=st.lists(st.floats(0.0, 1.0), min_size=0, max_size=12))
+    def test_point_matches_oracle(self, x):
+        got = s_value(x)
+        assert isinstance(got, float)
+        assert abs(got - brute_s(x)) <= 1e-12
+
+    def test_float_rows_match_oracle(self):
+        rng = np.random.default_rng(3)
+        for n in range(13):
+            rows = rng.uniform(0.0, 1.0, size=(20, n))
+            got = s_value(rows)
+            assert got.shape == (20,)
+            for row, v in zip(rows, got):
+                assert abs(v - brute_s(row.tolist())) <= 1e-12
+
+    def test_integer_rows_are_exact(self):
+        rng = np.random.default_rng(4)
+        for n in range(13):
+            rows = rng.integers(0, 1000, size=(20, n), dtype=np.int64)
+            got = s_value(rows)
+            assert got.dtype == np.int64
+            assert got.tolist() == [brute_s(row) for row in rows.tolist()]
+
+
+class TestPairMove:
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_beats_dense_sampling(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 10))
+        x = feasible_point(rng, n)
+        i, j = sorted(rng.choice(n, size=2, replace=False).tolist())
+        lo = max(-x[i], x[j] - 1.0)
+        hi = min(1.0 - x[i], x[j])
+
+        def oracle_along(d):
+            y = x.copy()
+            y[i] += d
+            y[j] -= d
+            return brute_s(y.tolist())
+
+        d, v = _pair_move_max(x, i, j, lo, hi)
+        assert lo <= d <= hi
+        assert abs(v - oracle_along(d)) <= 1e-12
+        assert v >= max(oracle_along(s) for s in np.linspace(lo, hi, 201)) - 1e-15
+
+
+class TestLemma2Max:
+    def test_grid_picks_first_brute_force_maximizer(self):
+        steps, n = 10, 4
+        grid = [c for c in itertools.product(range(steps // 2 + 1), repeat=n) if sum(c) == steps]
+        values = [brute_s(c) for c in grid]
+        first_best = grid[values.index(max(values))]
+        x, v = _polish(np.array(first_best) * (2.0 / steps))
+        res = lemma2_max(n, grid_steps=steps)
+        assert res.argmax == tuple(x)
+        assert res.max_s == v
+
+    def test_refined_local_reaches_uniform_floor(self):
+        # Padding with a zero coordinate leaves S unchanged, so the maximum at
+        # n=10 is at least the closed-form uniform value at n=9.
+        res = lemma2_max(10)
+        assert res.method == "refined-local"
+        assert (1.0 - 1.0 / 81) / 3.0 - 1e-9 <= res.max_s < THIRD
