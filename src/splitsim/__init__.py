@@ -49,6 +49,7 @@ from .channels import (
     lemma1_report,
     mean_unitary,
     mixture_superoperator,
+    word_stack,
 )
 from .series import (
     InterleavingProfile,

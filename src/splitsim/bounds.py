@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import NORMALIZATION_ATOL, POLISH_IMPROVEMENT_TOL
+from .config import LEMMA2_GRID_MAX_ROWS, NORMALIZATION_ATOL, POLISH_IMPROVEMENT_TOL
 from .schedules import Word
 from .series import interleaving_profile, s_value
 
@@ -56,9 +56,20 @@ class Lemma2Result:
         }
 
 
-def _integer_compositions(total: int, parts: int, cap: int) -> np.ndarray:
-    """All int vectors of length ``parts`` with entries in [0, cap] summing to
-    ``total``, in lexicographic order."""
+def _composition_count(total: int, parts: int, cap: int) -> int:
+    """Number of int vectors of length ``parts`` with entries in [0, cap]
+    summing to ``total``."""
+    counts = [1 if t <= cap else 0 for t in range(total + 1)]  # one part
+    for _ in range(parts - 1):
+        counts = [sum(counts[t - v] for v in range(min(t, cap) + 1)) for t in range(total + 1)]
+    return counts[total]
+
+
+def _composition_blocks(total: int, parts: int, cap: int):
+    """All int vectors of length ``parts`` >= 3 with entries in [0, cap]
+    summing to ``total``, in lexicographic order, yielded as int16 blocks: one
+    block per leading pair of entries. Only the tables of the remaining
+    ``parts - 2`` entries are memoised, so no block holds the whole grid."""
     memo: dict[tuple[int, int], np.ndarray] = {}
 
     def rec(tot: int, p: int) -> np.ndarray:
@@ -79,7 +90,13 @@ def _integer_compositions(total: int, parts: int, cap: int) -> np.ndarray:
         memo[key] = out
         return out
 
-    return rec(total, parts)
+    for a in range(min(total, cap) + 1):
+        for b in range(min(total - a, cap) + 1):
+            sub = rec(total - a - b, parts - 2)
+            if len(sub):
+                block = np.empty((len(sub), parts), dtype=np.int16)
+                block[:, 0], block[:, 1], block[:, 2:] = a, b, sub
+                yield block
 
 
 def _pair_move_max(x: np.ndarray, i: int, j: int, lo: float, hi: float) -> tuple[float, float]:
@@ -142,15 +159,22 @@ def lemma2_max(n: int, grid_steps: int | None = None) -> Lemma2Result:
 
     For n <= 9 the feasible set is enumerated on a grid of resolution
     2/grid_steps (defaults: 40 for n <= 6, 20 for n in 7..9), scored in exact
-    integer counts, and the best cell is polished by coordinate ascent; ties
-    break toward the lexicographically smallest grid point. Larger n skips the grid and polishes several seeded
-    starting points instead. The maximum always lands strictly below 1/3; at
-    odd n the maximizer is the uniform point x_i = 2/n.
+    integer counts block by block, and the best cell is polished by coordinate
+    ascent; ties break toward the lexicographically smallest grid point. A
+    grid of more than ``LEMMA2_GRID_MAX_ROWS`` points is rejected before it
+    is built. Larger n takes no grid: it polishes several seeded starting
+    points instead. The maximum always lands strictly below 1/3; at odd n the
+    maximizer is the uniform point x_i = 2/n.
     """
     if n < 3:
         raise ValueError(f"need at least 3 coordinates, got {n}")
 
     if n > _GRID_EXHAUSTIVE_MAX_N:
+        if grid_steps is not None:
+            raise ValueError(
+                f"a grid applies only to n <= {_GRID_EXHAUSTIVE_MAX_N}; n={n} is searched "
+                "by refined-local polish without one"
+            )
         starts = [np.full(n, 2.0 / n)]
         rng = np.random.default_rng(n)
         for _ in range(_LOCAL_STARTS):
@@ -175,16 +199,20 @@ def lemma2_max(n: int, grid_steps: int | None = None) -> Lemma2Result:
 
     h = 2.0 / grid_steps
     cap = grid_steps // 2  # enforces x_i <= 1
-    table = _integer_compositions(grid_steps, n, cap)
+    rows = _composition_count(grid_steps, n, cap)
+    if rows > LEMMA2_GRID_MAX_ROWS:
+        raise ValueError(
+            f"the n={n} grid with {grid_steps} steps has {rows} points, above the cap of "
+            f"{LEMMA2_GRID_MAX_ROWS}; choose a coarser grid"
+        )
     # S of the counts is an exact integer (h**3 times S of the point), so ties
     # are exact and argmax keeps the lexicographically smallest grid point.
     best_v, best_row = -1, None
-    chunk = 500_000
-    for start in range(0, len(table), chunk):
-        vals = s_value(table[start : start + chunk])
+    for block in _composition_blocks(grid_steps, n, cap):
+        vals = s_value(block)
         i = int(np.argmax(vals))
         if vals[i] > best_v:
-            best_v, best_row = vals[i], table[start + i]
+            best_v, best_row = vals[i], block[i]
     x, v = _polish(best_row * h)
     return Lemma2Result(
         n=n, max_s=v, argmax=tuple(x), method="grid", grid_steps=grid_steps

@@ -4,8 +4,12 @@ No sampling noise anywhere: mixtures are enumerated exactly, and stages are
 independent and identical, so a K-stage algorithm is the K-fold composition
 of its single-stage channel.
 
+:func:`word_stack` evaluates a stage mixture once, to its probabilities and
+stacked word unitaries; the mean unitary, the expected squared deviation and
+propagation all read that stack.
+
 :func:`evolve_states` is the evaluation core. It applies K stages of a
-mixture to a stack of density matrices along one of two exact paths:
+stacked mixture to a stack of density matrices along one of two exact paths:
 
 * **real Liouville powering**: the stage is written in an orthonormal basis
   of Hermitian operators, where its d**2 x d**2 matrix is real. It is built
@@ -54,6 +58,7 @@ __all__ = [
     "mixture_superoperator",
     "unvec",
     "vec",
+    "word_stack",
 ]
 
 
@@ -139,7 +144,7 @@ def _propagation_path(d: int, n_words: int, n_states: int, stages: int) -> str:
     return "direct" if direct <= liouville else "liouville"
 
 
-def _word_stack(ts: TermSet, mix: UnitaryMixture) -> tuple[np.ndarray, np.ndarray]:
+def word_stack(ts: TermSet, mix: UnitaryMixture) -> tuple[np.ndarray, np.ndarray]:
     """Mixture probabilities (M,) and word unitaries stacked to (M, d, d)."""
     probs = np.array([p for p, _ in mix.entries])
     return probs, np.stack([word_unitary(ts, w) for _, w in mix.entries])
@@ -232,43 +237,45 @@ def _evolve_liouville(probs: np.ndarray, us: np.ndarray, stages: int, rhos: np.n
     return _from_coords(coords, us.shape[1])
 
 
-def evolve_states(ts: TermSet, mix: UnitaryMixture, stages: int, rhos) -> np.ndarray:
-    """Apply ``stages`` independent copies of the stage mixture to each state.
+def evolve_states(probs: np.ndarray, us: np.ndarray, stages: int, rhos) -> np.ndarray:
+    """Apply ``stages`` independent copies of a stacked stage to each state.
 
-    ``rhos`` is a stack of Hermitian (n, d, d) matrices, usually density
-    matrices; the result has the same shape. The exact path, real Liouville
-    powering or fused direct propagation, is the one with the smaller flop
-    count for (d, len(mix), n, stages); both agree to rounding.
+    ``(probs, us)`` is a :func:`word_stack`. ``rhos`` is a stack of Hermitian
+    (n, d, d) matrices, usually density matrices; the result has the same
+    shape. The exact path, real Liouville powering or fused direct
+    propagation, is the one with the smaller flop count for
+    (d, words, n, stages); both agree to rounding.
     """
     stages = operator.index(stages)
     if stages < 1:
         raise ValueError(f"stage count must be >= 1, got {stages}")
+    n_words, d, _ = us.shape
     rhos = np.asarray(rhos, dtype=complex)
-    if rhos.ndim != 3 or rhos.shape[1:] != (ts.dim, ts.dim):
+    if rhos.ndim != 3 or rhos.shape[1:] != (d, d):
         raise ValueError(
-            f"states must be stacked as (n, {ts.dim}, {ts.dim}), got shape {rhos.shape}"
+            f"states must be stacked as (n, {d}, {d}), got shape {rhos.shape}"
         )
-    probs, us = _word_stack(ts, mix)
-    if _propagation_path(ts.dim, len(mix), rhos.shape[0], stages) == "direct":
+    if _propagation_path(d, n_words, rhos.shape[0], stages) == "direct":
         return _evolve_direct(probs, us, stages, rhos)
     return _evolve_liouville(probs, us, stages, rhos)
 
 
-def mean_unitary(ts: TermSet, mix: UnitaryMixture) -> np.ndarray:
-    """Probability-weighted mean of the word unitaries (generally not unitary)."""
-    out = np.zeros((ts.dim, ts.dim), dtype=complex)
-    for p, w in mix.entries:
-        out += p * word_unitary(ts, w)
+def mean_unitary(probs: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """Probability-weighted mean of stacked word unitaries (generally not
+    unitary), summed in entry order."""
+    out = np.zeros(us.shape[1:], dtype=complex)
+    for p, u in zip(probs.tolist(), us):
+        out += p * u
     return out
 
 
-def expected_sq_deviation(ts: TermSet, mix: UnitaryMixture, u0: np.ndarray) -> float:
-    """sum_w p_w ||U_w - U0||^2 in the spectral norm."""
+def expected_sq_deviation(probs: np.ndarray, us: np.ndarray, u0: np.ndarray) -> float:
+    """sum_w p_w ||U_w - U0||^2 in the spectral norm, over stacked words."""
     u0 = np.asarray(u0, dtype=complex)
-    if u0.shape != (ts.dim, ts.dim):
-        raise ValueError(f"reference unitary has shape {u0.shape}, expected ({ts.dim}, {ts.dim})")
+    if u0.shape != us.shape[1:]:
+        raise ValueError(f"reference unitary has shape {u0.shape}, expected {us.shape[1:]}")
     return float(
-        sum(p * spectral_norm(word_unitary(ts, w) - u0) ** 2 for p, w in mix.entries)
+        sum(p * spectral_norm(u - u0) ** 2 for p, u in zip(probs.tolist(), us))
     )
 
 
@@ -333,13 +340,14 @@ def lemma1_report(
     _require_pure(psi0)
 
     u0 = exact_evolution(ts, t)
-    full = mix if k == 1 else mixture_power(mix, k)
-    mean_dev = spectral_norm(mean_unitary(ts, full) - u0)
-    sq_dev = expected_sq_deviation(ts, full, u0)
+    stage = word_stack(ts, mix)
+    full = stage if k == 1 else word_stack(ts, mixture_power(mix, k))
+    mean_dev = spectral_norm(mean_unitary(*full) - u0)
+    sq_dev = expected_sq_deviation(*full, u0)
     input_dist = trace_distance(rho0, psi0)
     bound = input_dist + 2.0 * mean_dev + sq_dev
 
-    out = DensityMatrix(evolve_states(ts, mix, k, rho0.mat[None])[0], atol=CHANNEL_OUTPUT_ATOL)
+    out = DensityMatrix(evolve_states(*stage, k, rho0.mat[None])[0], atol=CHANNEL_OUTPUT_ATOL)
     target = DensityMatrix(u0 @ psi0.mat @ u0.conj().T, atol=CHANNEL_OUTPUT_ATOL)
     observed_raw = trace_distance(out, target) - input_dist
     return BoundReport(

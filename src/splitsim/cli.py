@@ -124,18 +124,24 @@ def _cmd_scaling(args) -> int:
     unknown = set(doc) - _SCALING_KEYS
     if unknown:
         raise ValueError(f"unknown scaling config keys: {sorted(unknown)}")
+    if not isinstance(doc.get("out"), (str, type(None))):
+        raise ValueError(f"out must be a path string or null, got {doc['out']!r}")
     kwargs = {}
     for key in ("fixed_eps", "fixed_t", "seed", "panel_size", "k_cap", "n_qubits"):
         if key in doc:
             kwargs[key] = doc[key]
     if "couplings" in doc:
         c = doc["couplings"]
+        if not isinstance(c, dict) or set(c) != {"jx", "jz", "hx"}:
+            raise ValueError(
+                f'couplings must be an object {{"jx": .., "jz": .., "hx": ..}}, got {c!r}'
+            )
         kwargs["couplings"] = (c["jx"], c["jz"], c["hx"])
     if "schemes" in doc:
-        kwargs["schemes"] = tuple(doc["schemes"])
+        kwargs["schemes"] = doc["schemes"]
     report = harness.scaling_cross_check(
         t_values=doc.get("t_values"),
-        eps_values=tuple(doc.get("eps_values", harness.DEFAULT_SCALING_EPS_GRID)),
+        eps_values=doc.get("eps_values", harness.DEFAULT_SCALING_EPS_GRID),
         **kwargs,
     )
     _emit(report.to_json(), args.out or doc.get("out"))

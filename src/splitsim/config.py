@@ -39,3 +39,7 @@ RNG_NAME = "numpy-PCG64"
 
 # Documented envelope: dense superoperators reach dim**2 = 4096 at dim 64.
 SUPPORTED_MAX_DIM = 64
+
+# Largest exhaustive Lemma-2 grid, in points; the default n=9, 20-step grid
+# has 2,889,315. Finer grids are rejected before anything is built.
+LEMMA2_GRID_MAX_ROWS = 4_000_000

@@ -7,7 +7,7 @@ round-tripping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -15,7 +15,14 @@ from .config import (
     DEGENERATE_COMMUTATOR_FLOOR,
     HERMITIAN_OUTPUT_ATOL,
 )
-from .matkernel import as_complex_matrix, hermitian_deviation, kron, spectral_norm
+from .matkernel import (
+    _spectral_exp,
+    _spectrum,
+    as_complex_matrix,
+    hermitian_deviation,
+    kron,
+    spectral_norm,
+)
 
 __all__ = [
     "PAULI_X",
@@ -37,11 +44,19 @@ _MAX_REGENERATION_ATTEMPTS = 64
 
 @dataclass(frozen=True)
 class TermSet:
-    """m >= 2 Hermitian matrices of common dimension, with short labels."""
+    """m >= 2 Hermitian matrices of common dimension, with short labels.
+
+    Each term is decomposed once, right after validation: ``spectra`` holds
+    its read-only (eigenvalues, eigenvectors) pair, and :meth:`exp` builds
+    every term exponential from it.
+    """
 
     dim: int
     terms: tuple[np.ndarray, ...]
     labels: tuple[str, ...]
+    spectra: tuple[tuple[np.ndarray, np.ndarray], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if len(self.terms) < 2:
@@ -50,7 +65,7 @@ class TermSet:
             raise ValueError(
                 f"got {len(self.labels)} labels for {len(self.terms)} terms"
             )
-        frozen = []
+        frozen, spectra = [], []
         for i, term in enumerate(self.terms):
             m = as_complex_matrix(term)
             if m.shape != (self.dim, self.dim):
@@ -65,7 +80,11 @@ class TermSet:
             m = m.copy()
             m.flags.writeable = False
             frozen.append(m)
+            w, v = _spectrum(m)
+            w.flags.writeable = v.flags.writeable = False
+            spectra.append((w, v))
         object.__setattr__(self, "terms", tuple(frozen))
+        object.__setattr__(self, "spectra", tuple(spectra))
         object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
 
     @property
@@ -77,6 +96,12 @@ class TermSet:
         if not 1 <= index <= self.m:
             raise ValueError(f"term index {index} out of range 1..{self.m}")
         return self.terms[index - 1]
+
+    def exp(self, index: int, tau: float) -> np.ndarray:
+        """``exp(-i H_index tau)`` (1-based index) from the stored spectrum."""
+        if not 1 <= index <= self.m:
+            raise ValueError(f"term index {index} out of range 1..{self.m}")
+        return _spectral_exp(*self.spectra[index - 1], tau)
 
 
 def total(ts: TermSet) -> np.ndarray:

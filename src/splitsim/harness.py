@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import COMMUTING_ERROR_FLOOR, SUPPORTED_MAX_DIM
-from .channels import evolve_states, exact_evolution, lemma1_report
+from .channels import evolve_states, exact_evolution, lemma1_report, word_stack
 from .hamiltonians import (
     TermSet,
     random_termset,
@@ -102,6 +102,20 @@ def _require_finite(name: str, value) -> None:
         raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
+def _require_positive(name: str, value) -> None:
+    _require_finite(name, value)
+    if not value > 0:
+        raise ValueError(f"{name} must be positive, got {value}")
+
+
+def _require_grid(name: str, values) -> None:
+    """``values`` must be a nonempty list of positive finite numbers."""
+    if not isinstance(values, (list, tuple)) or not values:
+        raise ValueError(f"{name} must be a nonempty list of positive numbers, got {values!r}")
+    for v in values:
+        _require_positive(f"each {name} entry", v)
+
+
 def _require_qubits(n_qubits) -> None:
     n = _require_int("n_qubits", n_qubits, 2)
     if n >= 64 or 2**n > SUPPORTED_MAX_DIM:
@@ -133,10 +147,9 @@ class RunConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
-        for name in ("t", "norm_bound", "jx", "jz", "hx"):
+        for name in ("norm_bound", "jx", "jz", "hx"):
             _require_finite(name, getattr(self, name))
-        if not self.t > 0:
-            raise ValueError(f"t must be positive, got {self.t}")
+        _require_positive("t", self.t)
         # Checked before any instance is built, so nothing oversized is allocated.
         if self.n_qubits is not None:
             _require_qubits(self.n_qubits)
@@ -145,6 +158,16 @@ class RunConfig:
         _require_int("m", self.m, 2)
         _require_int("seed", self.seed, 0)
         _require_int("panel_size", self.panel_size, 1)
+        if not isinstance(self.drop_bend_points, bool):
+            raise ValueError(
+                f"drop_bend_points must be true or false, got {self.drop_bend_points!r}"
+            )
+        # Zero is allowed: it marks every sweep of five or more points as bent.
+        _require_finite("bend_residual_tol", self.bend_residual_tol)
+        if self.bend_residual_tol < 0:
+            raise ValueError(f"bend_residual_tol must be >= 0, got {self.bend_residual_tol}")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ValueError(f"out must be a path string or null, got {self.out!r}")
         if not hasattr(self.k_list, "__iter__"):
             raise ValueError(f"k_list must be a list of integers, got {self.k_list!r}")
         ks = tuple(_require_int("segment count", k, 1) for k in self.k_list)
@@ -156,6 +179,8 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "RunConfig":
+        if not isinstance(doc, dict):
+            raise ValueError(f"a run config must be a JSON object, got {type(doc).__name__}")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(doc) - known
         if unknown:
@@ -240,7 +265,9 @@ class SchemeEvaluator:
             return float(2.0 * np.linalg.norm(evolved - overlaps[:, None] * targets, axis=1).max())
         mix_fn = alg1_stage_mixture if self.scheme == "alg1" else alg2_stage_mixture
         out = evolve_states(
-            self.ts, mix_fn(self.ts, dt), self.stage_count(k), _projectors(self.panel)
+            *word_stack(self.ts, mix_fn(self.ts, dt)),
+            self.stage_count(k),
+            _projectors(self.panel),
         )
         diffs = out - _projectors(targets)
         return float(np.linalg.svd(diffs, compute_uv=False).sum(axis=1).max())
@@ -608,20 +635,41 @@ def scaling_cross_check(
     3/2 for the second-order pair) and against log(1/eps) (expected 1 and
     1/2). ``t_values`` may be a sequence applied to every scheme or a mapping
     from scheme to its grid; by default each scheme uses its documented grid.
-    Unreachable cells are reported, not raised.
+    Unreachable cells are reported, not raised. Every argument is checked
+    before anything is built.
     """
+    if not isinstance(schemes, (list, tuple)) or not schemes:
+        raise ValueError(f"schemes must be a nonempty list of scheme names, got {schemes!r}")
+    bad = [s for s in schemes if s not in SCHEMES]
+    if bad:
+        raise ValueError(f"unknown scheme(s) {bad}, expected names from {SCHEMES}")
+    t_grids = {}
+    for scheme in schemes:
+        if t_values is None:
+            t_grids[scheme] = DEFAULT_SCALING_T_GRID[scheme]
+        elif isinstance(t_values, dict):
+            if scheme not in t_values:
+                raise ValueError(f"t_values has no grid for scheme {scheme!r}")
+            t_grids[scheme] = t_values[scheme]
+        else:
+            t_grids[scheme] = t_values
+        _require_grid(f"t_values[{scheme}]", t_grids[scheme])
+    _require_grid("eps_values", eps_values)
+    _require_positive("fixed_eps", fixed_eps)
+    _require_positive("fixed_t", fixed_t)
     _require_qubits(n_qubits)
+    if not isinstance(couplings, (list, tuple)) or len(couplings) != 3:
+        raise ValueError(f"couplings must be (jx, jz, hx), got {couplings!r}")
+    for name, value in zip(("jx", "jz", "hx"), couplings):
+        _require_finite(name, value)
+    _require_int("seed", seed, 0)
     _require_int("panel_size", panel_size, 1)
+    _require_int("k_cap", k_cap, 1)
     ts = spin_chain_termset(n_qubits, *couplings)
     panel = state_panel(ts.dim, panel_size, seed)
     per_scheme: dict = {}
     for scheme in schemes:
-        if t_values is None:
-            t_grid = DEFAULT_SCALING_T_GRID[scheme]
-        elif isinstance(t_values, dict):
-            t_grid = t_values[scheme]
-        else:
-            t_grid = tuple(t_values)
+        t_grid = t_grids[scheme]
 
         t_cells, failures = [], []
         for t in t_grid:

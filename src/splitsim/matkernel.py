@@ -74,19 +74,32 @@ def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
     return w[::-1].copy(), v[:, ::-1].copy()
 
 
+def _spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``eigh`` of a validated Hermitian matrix, eigenvector columns renormalized.
+
+    The renormalization keeps every exponential built from the spectrum
+    unitary to machine precision.
+    """
+    w, v = np.linalg.eigh(m)
+    return w, v / np.linalg.norm(v, axis=0, keepdims=True)
+
+
+def _spectral_exp(w: np.ndarray, v: np.ndarray, tau: float) -> np.ndarray:
+    """``exp(-1j * a * tau)`` from the spectrum ``(w, v)`` of ``a``."""
+    return (v * np.exp(-1j * w * float(tau))) @ v.conj().T
+
+
 def expm_hermitian(a, tau: float) -> np.ndarray:
     """``exp(-1j * a * tau)`` for Hermitian ``a``, via eigendecomposition.
 
-    The spectral route is exact up to eigensolver accuracy; eigenvector
-    columns are renormalized so the result is unitary to machine precision.
+    The spectral route is exact up to eigensolver accuracy. Term exponentials
+    come from :meth:`splitsim.hamiltonians.TermSet.exp`, which reuses spectra
+    taken once; this entry point validates and decomposes on every call.
     """
     m = as_complex_matrix(a)
     _require_square(m, "exponential generator")
     _require_hermitian(m, "exponential generator", HERMITIAN_INPUT_ATOL)
-    w, v = np.linalg.eigh(m)
-    v = v / np.linalg.norm(v, axis=0, keepdims=True)
-    phases = np.exp(-1j * w * float(tau))
-    return (v * phases) @ v.conj().T
+    return _spectral_exp(*_spectrum(m), tau)
 
 
 def spectral_norm(m) -> float:

@@ -11,13 +11,13 @@ evaluation to a concrete unitary happens against a TermSet.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import PROBABILITY_SUM_ATOL
 from .hamiltonians import TermSet
-from .matkernel import expm_hermitian
 
 __all__ = [
     "UnitaryMixture",
@@ -86,18 +86,14 @@ def word_unitary(ts: TermSet, w: Word) -> np.ndarray:
 
     Factors multiply in listed order (first step leftmost), so the product is
     ``exp(-i H_{k_1} t_1) @ exp(-i H_{k_2} t_2) @ ...``; an empty word gives
-    the identity.
+    the identity. Each factor comes from the term set's stored spectra.
     """
     bad = w.max_index()
     if bad > ts.m:
         raise ValueError(f"word references term {bad} but the term set has m={ts.m}")
     u = np.eye(ts.dim, dtype=complex)
-    cache: dict[tuple[int, float], np.ndarray] = {}
     for k, tau in w.steps:
-        key = (k, tau)
-        if key not in cache:
-            cache[key] = expm_hermitian(ts.term(k), tau)
-        u = u @ cache[key]
+        u = u @ ts.exp(k, tau)
     return u
 
 
@@ -215,7 +211,7 @@ def sample_schedule(mix: UnitaryMixture, stages: int, seed: int) -> Word:
     return concat_words(*(mix.entries[i][1] for i in idx))
 
 
-def mixture_power(mix: UnitaryMixture, stages: int, max_entries: int = _MIXTURE_POWER_CAP) -> UnitaryMixture:
+def mixture_power(mix: UnitaryMixture, stages: int) -> UnitaryMixture:
     """The mixture of ``stages`` independent copies, expanded explicitly.
 
     Enumerates every ordered tuple of entries, multiplying probabilities and
@@ -226,10 +222,10 @@ def mixture_power(mix: UnitaryMixture, stages: int, max_entries: int = _MIXTURE_
     if stages < 1:
         raise ValueError(f"stage count must be >= 1, got {stages}")
     n = len(mix.entries) ** stages
-    if n > max_entries:
+    if n > _MIXTURE_POWER_CAP:
         raise ValueError(
             f"expanding {stages} stages of a {len(mix.entries)}-entry mixture needs {n} words, "
-            f"above the cap of {max_entries}"
+            f"above the cap of {_MIXTURE_POWER_CAP}"
         )
     out = []
     for combo in itertools.product(mix.entries, repeat=stages):
@@ -244,8 +240,24 @@ def word_to_json(w: Word) -> dict:
     return {"steps": [[k, tau] for k, tau in w.steps]}
 
 
+def _is_number(x, kind) -> bool:
+    return isinstance(x, kind) and not isinstance(x, bool)
+
+
 def word_from_json(doc: dict) -> Word:
-    return Word(tuple((int(k), float(tau)) for k, tau in doc["steps"]))
+    """Inverse of :func:`word_to_json`; rejects anything but
+    ``{"steps": [[index, duration], ...]}`` with ValueError."""
+    if not isinstance(doc, dict) or not isinstance(doc.get("steps"), list):
+        raise ValueError('a word must be a JSON object {"steps": [[index, duration], ...]}')
+    steps = []
+    for i, step in enumerate(doc["steps"]):
+        pair = isinstance(step, list) and len(step) == 2
+        if not (
+            pair and _is_number(step[0], numbers.Integral) and _is_number(step[1], numbers.Real)
+        ):
+            raise ValueError(f"step {i} must be an [index, duration] pair of numbers, got {step!r}")
+        steps.append((int(step[0]), float(step[1])))
+    return Word(tuple(steps))
 
 
 def mixture_to_json(mix: UnitaryMixture) -> dict:

@@ -1,9 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitsim.bounds import (
+    _composition_blocks,
+    _composition_count,
     audit_schedule,
     cubic_sum,
     equal_split_floor,
@@ -11,6 +15,7 @@ from splitsim.bounds import (
     lemma2_uniform_value,
     min_exponentials,
 )
+from splitsim.config import LEMMA2_GRID_MAX_ROWS
 from splitsim.schedules import Word
 from splitsim.series import s_value
 
@@ -199,3 +204,27 @@ class TestEqualSplitOptimality:
         assert abs(cubic_sum(uniform) - equal_split_floor(t, k)) <= 1e-12
         skew = [t / k + 0.01, t / k - 0.01] + [t / k] * (k - 2)
         assert cubic_sum(skew) > equal_split_floor(t, k) + 1e-9
+
+
+class TestGridEnumeration:
+    """The streamed Lemma-2 grid against a brute-force product enumeration."""
+
+    @pytest.mark.parametrize("total, parts", [(6, 3), (8, 4), (10, 5), (7, 6)])
+    def test_blocks_are_every_composition_in_lexicographic_order(self, total, parts):
+        cap = total // 2
+        brute = [c for c in itertools.product(range(cap + 1), repeat=parts) if sum(c) == total]
+        blocks = list(_composition_blocks(total, parts, cap))
+        assert all(b.dtype == np.int16 for b in blocks)
+        assert [tuple(int(v) for v in row) for row in np.vstack(blocks)] == brute
+        assert _composition_count(total, parts, cap) == len(brute)
+
+    def test_default_n9_grid_is_under_the_cap(self):
+        assert _composition_count(20, 9, 10) == 2_889_315 <= LEMMA2_GRID_MAX_ROWS
+
+    def test_oversized_grid_rejected_before_building(self):
+        with pytest.raises(ValueError, match="357368319 points"):
+            lemma2_max(9, grid_steps=40)
+
+    def test_grid_rejected_beyond_exhaustive_range(self):
+        with pytest.raises(ValueError, match="n <= 9"):
+            lemma2_max(12, grid_steps=20)

@@ -6,7 +6,6 @@ from splitsim.channels import (
     _evolve_direct,
     _evolve_liouville,
     _propagation_path,
-    _word_stack,
     apply_channel,
     channel_power,
     evolve_states,
@@ -17,6 +16,7 @@ from splitsim.channels import (
     mixture_superoperator,
     unvec,
     vec,
+    word_stack,
 )
 from splitsim.hamiltonians import TermSet, random_termset, total
 from splitsim.matkernel import (
@@ -151,13 +151,13 @@ class TestMeanUnitary:
     def test_single_entry(self, ts):
         w = trotter_word(ts, 0.4, 1)
         mix = UnitaryMixture(((1.0, w),))
-        assert spectral_norm(mean_unitary(ts, mix) - word_unitary(ts, w)) <= 1e-14
+        assert spectral_norm(mean_unitary(*word_stack(ts, mix)) - word_unitary(ts, w)) <= 1e-14
 
     def test_alg2_two_term_formula(self, ts):
         dt = 0.3
         u1 = expm_hermitian(ts.term(1), dt)
         u2 = expm_hermitian(ts.term(2), dt)
-        mean = mean_unitary(ts, alg2_stage_mixture(ts, dt))
+        mean = mean_unitary(*word_stack(ts, alg2_stage_mixture(ts, dt)))
         assert spectral_norm(mean - 0.5 * (u1 @ u2 + u2 @ u1)) <= 1e-13
 
     def test_norm_at_most_one(self, rng):
@@ -165,18 +165,18 @@ class TestMeanUnitary:
         for seed in range(5):
             ts = random_termset(4, 3, 1.0, seed=seed)
             mix = alg2_stage_mixture(ts, float(rng.uniform(0.05, 0.5)))
-            assert spectral_norm(mean_unitary(ts, mix)) <= 1.0 + 1e-12
+            assert spectral_norm(mean_unitary(*word_stack(ts, mix))) <= 1.0 + 1e-12
 
 
 class TestExpectedSqDeviation:
     def test_zero_when_mixture_matches_reference(self, ts):
         w = trotter_word(ts, 0.2, 1)
         mix = UnitaryMixture(((1.0, w),))
-        assert expected_sq_deviation(ts, mix, word_unitary(ts, w)) <= 1e-24
+        assert expected_sq_deviation(*word_stack(ts, mix), word_unitary(ts, w)) <= 1e-24
 
     def test_bounded_by_unitary_diameter(self, ts):
         mix = alg1_stage_mixture(ts, 2.0)
-        assert expected_sq_deviation(ts, mix, exact_evolution(ts, 2.0)) <= 4.0 + 1e-12
+        assert expected_sq_deviation(*word_stack(ts, mix), exact_evolution(ts, 2.0)) <= 4.0 + 1e-12
 
     def test_quadratic_halving_ratio(self, ts):
         # one stage of the single-term scheme deviates at first order in dt,
@@ -184,7 +184,7 @@ class TestExpectedSqDeviation:
         vals = []
         for dt in (0.04, 0.02):
             mix = alg1_stage_mixture(ts, dt)
-            vals.append(expected_sq_deviation(ts, mix, exact_evolution(ts, dt)))
+            vals.append(expected_sq_deviation(*word_stack(ts, mix), exact_evolution(ts, dt)))
         ratio = vals[0] / vals[1]
         assert abs(ratio - 4.0) <= 0.8
 
@@ -199,7 +199,7 @@ def test_single_permutation_word_deviates_at_second_order(ts):
         u0 = exact_evolution(ts, dt)
         _, w = mix.entries[0]
         word_devs.append(spectral_norm(word_unitary(ts, w) - u0))
-        mean_devs.append(spectral_norm(mean_unitary(ts, mix) - u0))
+        mean_devs.append(spectral_norm(mean_unitary(*word_stack(ts, mix)) - u0))
     assert abs(word_devs[0] / word_devs[1] - 4.0) <= 1.0
     assert abs(mean_devs[0] / mean_devs[1] - 8.0) <= 2.0
 
@@ -287,7 +287,7 @@ class TestEvolveStates:
     def test_paths_match_superoperator_oracle(self, mix_fn, d, rng):
         ts = random_termset(d, 3, 1.0, seed=d)
         mix = mix_fn(ts, 0.15)
-        probs, us = _word_stack(ts, mix)
+        probs, us = word_stack(ts, mix)
         states = [
             pure_density(random_unit_vector(rng, d)),
             DensityMatrix(random_density_mat(rng, d)),
@@ -316,16 +316,16 @@ class TestEvolveStates:
 
     def test_public_entry_agrees_with_direct_path(self, ts, rng):
         mix = alg2_stage_mixture(ts, 0.1)
-        probs, us = _word_stack(ts, mix)
+        probs, us = word_stack(ts, mix)
         rhos = np.stack([random_density_mat(rng, 4) for _ in range(3)])
         for stages in (1, 1000):
-            got = evolve_states(ts, mix, stages, rhos)
+            got = evolve_states(probs, us, stages, rhos)
             assert got.shape == rhos.shape
             assert np.max(np.abs(got - _evolve_direct(probs, us, stages, rhos))) <= 1e-12
 
     def test_rejects_bad_arguments(self, ts):
         mix = alg1_stage_mixture(ts, 0.1)
         with pytest.raises(ValueError, match="stage count"):
-            evolve_states(ts, mix, 0, np.eye(4)[None] / 4)
+            evolve_states(*word_stack(ts, mix), 0, np.eye(4)[None] / 4)
         with pytest.raises(ValueError, match="stacked"):
-            evolve_states(ts, mix, 1, np.eye(4) / 4)
+            evolve_states(*word_stack(ts, mix), 1, np.eye(4) / 4)

@@ -53,6 +53,10 @@ class TestSimulate:
             ({"t": "1"}, "finite"),
             ({"d": 200, "n_qubits": None}, "supported maximum"),
             ({"min_r2": "banana"}, "unknown config keys"),
+            ({"out": 5}, "out must be a path string"),
+            ({"bend_residual_tol": "x", "k_list": [8, 16, 32, 64, 128]}, "bend_residual_tol"),
+            ({"bend_residual_tol": -0.1}, "bend_residual_tol"),
+            ({"drop_bend_points": "no"}, "drop_bend_points"),
         ],
     )
     def test_malformed_config_exits_two(self, tmp_path, capsys, override, message):
@@ -66,6 +70,15 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
 
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_non_object_config_exits_two(self, tmp_path, capsys, command):
+        path = tmp_path / "list.json"
+        path.write_text("[]")
+        argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "JSON object" in err
 
     def test_degenerate_random_draw_exits_two(self, tmp_path, capsys):
         # Commutators scale as norm_bound**2 (about 1e-8 here), below the
@@ -136,6 +149,22 @@ class TestVerifyLemma2:
     def test_invalid_n(self, capsys):
         assert main(["verify-lemma2", "--n", "2"]) == EXIT_INVALID
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--n", "9", "--grid", "40"], "357368319 points"),
+            (["--n", "12", "--grid", "20"], "n <= 9"),
+        ],
+    )
+    def test_oversized_or_ignored_grid_exits_two(self, capsys, argv, message):
+        # The n=9, 40-step grid has 357,368,319 points (about 6.4 GB of int16);
+        # it is counted and rejected before anything is built.
+        start = time.perf_counter()
+        assert main(["verify-lemma2", *argv]) == EXIT_INVALID
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
 
 class TestExpand:
     def test_obstructed_word(self, tmp_path, capsys):
@@ -154,6 +183,15 @@ class TestExpand:
         word_path.write_text(json.dumps({"steps": [[1, 0.7], [2, 1.0]]}))
         assert main(["expand", "--word", str(word_path), "--pair", "1,2"]) == EXIT_OK
         assert "mistimed" in capsys.readouterr().out.split("\n")[0]
+
+    @pytest.mark.parametrize(
+        "doc", [[], {"steps": 5}, {"steps": [[1]]}, {"steps": [[1.5, 1.0]]}, {"steps": [[1, None]]}]
+    )
+    def test_malformed_word_exits_two(self, tmp_path, capsys, doc):
+        word_path = tmp_path / "word.json"
+        word_path.write_text(json.dumps(doc))
+        assert main(["expand", "--word", str(word_path), "--pair", "1,2"]) == EXIT_INVALID
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_bad_pair_argument(self, tmp_path):
         word_path = tmp_path / "word.json"
@@ -176,7 +214,28 @@ class TestScaling:
         assert abs(doc["per_scheme"]["alg2"]["exponent_t"] - 1.5) <= 0.25
 
 
-    @pytest.mark.parametrize("override", [{"panel_size": 0}, {"n_qubits": 7}])
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"panel_size": 0},
+            {"n_qubits": 7},
+            {"couplings": [1, 1, 1]},
+            {"couplings": {"jx": 1, "jz": 1}},
+            {"couplings": {"jx": 1, "jz": 1, "hx": "x"}},
+            {"schemes": 5},
+            {"schemes": ["bogus"]},
+            {"fixed_eps": "x"},
+            {"fixed_t": 0},
+            {"seed": "x"},
+            {"seed": -1},
+            {"eps_values": 5},
+            {"eps_values": [1e-3, -1]},
+            {"t_values": [1.0, float("inf")]},
+            {"t_values": {"trotter": [1.0]}},
+            {"k_cap": 0},
+            {"out": 5},
+        ],
+    )
     def test_malformed_scaling_config_exits_two(self, tmp_path, capsys, override):
         path = tmp_path / "scaling.json"
         path.write_text(json.dumps({"schemes": ["alg2"], **override}))
@@ -185,7 +244,11 @@ class TestScaling:
 
     @pytest.mark.parametrize(
         "doc, message",
-        [({"schemes": ["alg2"], "fixed_epsilon": 5}, "fixed_epsilon"), (["alg2"], "JSON object")],
+        [
+            ({"schemes": ["alg2"], "fixed_epsilon": 5}, "fixed_epsilon"),
+            (["alg2"], "JSON object"),
+            ({"schemes": ["alg2", "bogus"]}, "unknown scheme(s) ['bogus']"),
+        ],
     )
     def test_rejected_config_exits_two(self, tmp_path, capsys, doc, message):
         path = tmp_path / "scaling.json"

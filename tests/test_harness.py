@@ -59,6 +59,11 @@ class TestRunConfig:
             ("n_qubits", 7, "supported maximum"),
             ("n_qubits", 10**6, "supported maximum"),
             ("seed", 1.5, "integer"),
+            ("t", 0.0, "positive"),
+            ("drop_bend_points", "no", "drop_bend_points"),
+            ("bend_residual_tol", "x", "finite"),
+            ("bend_residual_tol", -1.0, ">= 0"),
+            ("out", 5, "path string"),
         ],
     )
     def test_rejects_malformed_fields(self, key, value, match):
