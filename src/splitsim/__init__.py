@@ -12,9 +12,7 @@ scalings.
 from .matkernel import (
     DensityMatrix,
     expm_hermitian,
-    hermitian_eig,
     kron,
-    maximally_mixed,
     pure_density,
     spectral_norm,
     trace_distance,
@@ -24,7 +22,6 @@ from .hamiltonians import (
     TermSet,
     random_termset,
     spin_chain_termset,
-    termset_from_json,
     termset_to_json,
     total,
 )
@@ -33,7 +30,6 @@ from .schedules import (
     Word,
     alg1_stage_mixture,
     alg2_stage_mixture,
-    sample_schedule,
     strang_word,
     trotter_word,
     word_unitary,
@@ -69,7 +65,6 @@ from .bounds import (
     audit_schedule,
     lemma2_max,
     lemma2_uniform_value,
-    min_exponentials,
 )
 from .harness import (
     RunConfig,

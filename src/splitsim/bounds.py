@@ -3,19 +3,22 @@
 Maximizes the alternating triple-product sum S over the constrained box slice
 {0 <= x_i <= 1, sum x_i = 2} (an exact integer grid scan, then coordinate
 ascent whose pair moves are solved as exact quadratics), audits arbitrary
-schedules for the per-stage obstruction, and converts the resulting
-Omega(dt^3) floor into a minimum exponential count.
+schedules for the per-stage obstruction.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .config import LEMMA2_GRID_MAX_ROWS, NORMALIZATION_ATOL, POLISH_IMPROVEMENT_TOL
+from .config import (
+    LEMMA2_GRID_MAX_ROWS,
+    LEMMA2_MAX_N,
+    NORMALIZATION_ATOL,
+    POLISH_IMPROVEMENT_TOL,
+)
 from .schedules import Word
 from .series import interleaving_profile, s_value
 
@@ -23,11 +26,8 @@ __all__ = [
     "Lemma2Result",
     "ScheduleAudit",
     "audit_schedule",
-    "cubic_sum",
-    "equal_split_floor",
     "lemma2_max",
     "lemma2_uniform_value",
-    "min_exponentials",
 ]
 
 _GRID_EXHAUSTIVE_MAX_N = 9
@@ -47,13 +47,7 @@ class Lemma2Result:
     grid_steps: int | None = None
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "max_s": self.max_s,
-            "argmax": list(self.argmax),
-            "method": self.method,
-            "grid_steps": self.grid_steps,
-        }
+        return asdict(self)
 
 
 def _composition_count(total: int, parts: int, cap: int) -> int:
@@ -164,10 +158,13 @@ def lemma2_max(n: int, grid_steps: int | None = None) -> Lemma2Result:
     grid of more than ``LEMMA2_GRID_MAX_ROWS`` points is rejected before it
     is built. Larger n takes no grid: it polishes several seeded starting
     points instead. The maximum always lands strictly below 1/3; at odd n the
-    maximizer is the uniform point x_i = 2/n.
+    maximizer is the uniform point x_i = 2/n. The polish costs about n**3,
+    so n above ``LEMMA2_MAX_N`` is rejected before any work.
     """
     if n < 3:
         raise ValueError(f"need at least 3 coordinates, got {n}")
+    if n > LEMMA2_MAX_N:
+        raise ValueError(f"n={n} is above the supported maximum of {LEMMA2_MAX_N} coordinates")
 
     if n > _GRID_EXHAUSTIVE_MAX_N:
         if grid_steps is not None:
@@ -247,15 +244,7 @@ class ScheduleAudit:
     verdict: str  # "obstructed" or "mistimed"
 
     def to_json(self) -> dict:
-        return {
-            "pair": list(self.pair),
-            "normalized": self.normalized,
-            "alpha_sum": self.alpha_sum,
-            "beta_sum": self.beta_sum,
-            "s": self.s,
-            "gap": self.gap,
-            "verdict": self.verdict,
-        }
+        return asdict(self)
 
 
 def audit_schedule(w: Word, a: int, b: int, dt_unit: float) -> ScheduleAudit:
@@ -299,37 +288,3 @@ def audit_schedule(w: Word, a: int, b: int, dt_unit: float) -> ScheduleAudit:
         verdict="obstructed",
     )
 
-
-def cubic_sum(parts: Sequence[float]) -> float:
-    """Sum of cubes of a positive partition."""
-    ps = [float(p) for p in parts]
-    if any(not p > 0 for p in ps):
-        raise ValueError("all partition parts must be strictly positive")
-    return float(sum(p**3 for p in ps))
-
-
-def equal_split_floor(t: float, k: int) -> float:
-    """t^3 / k^2: the minimum of sum(t_j^3) over positive partitions of t into
-    k parts, attained only at the equal split t_j = t/k."""
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
-    if k < 1:
-        raise ValueError(f"part count must be >= 1, got {k}")
-    return t**3 / k**2
-
-
-def min_exponentials(t: float, eps: float, c: float) -> int:
-    """Smallest stage count K with c * t^3 / K^2 <= eps.
-
-    The calibration constant ``c`` is instance-dependent (fit it from
-    second-order scheme error data); doubling t multiplies the result by
-    2**1.5 and quartering eps doubles it.
-    """
-    if not (t > 0 and eps > 0 and c > 0):
-        raise ValueError(f"t, eps, c must all be positive, got {(t, eps, c)}")
-    k = max(1, math.ceil(math.sqrt(c * t**3 / eps)))
-    while k > 1 and c * t**3 / (k - 1) ** 2 <= eps:
-        k -= 1
-    while c * t**3 / k**2 > eps:
-        k += 1
-    return k

@@ -36,7 +36,7 @@ Envelope: dim <= 64 and, for alg2, m <= 6 (720 words per stage).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -298,15 +298,7 @@ class BoundReport:
     metadata: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "mean_dev": self.mean_dev,
-            "sq_dev": self.sq_dev,
-            "input_dist": self.input_dist,
-            "bound": self.bound,
-            "observed": self.observed,
-            "observed_raw": self.observed_raw,
-            "metadata": dict(self.metadata),
-        }
+        return asdict(self)
 
 
 def _require_pure(psi0: DensityMatrix) -> None:

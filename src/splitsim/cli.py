@@ -2,7 +2,7 @@
 
 Subcommands: simulate, sweep, bound-check, verify-lemma2, expand, scaling.
 Exit codes: 0 success, 1 assertion failure (a verified claim did not hold),
-2 invalid input.
+2 invalid input, including input whose result overflows or is not finite.
 """
 
 from __future__ import annotations
@@ -11,6 +11,8 @@ import argparse
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import bounds, harness, series
 from .schedules import word_from_json
@@ -51,11 +53,10 @@ def _cmd_simulate(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = harness.RunConfig.from_json(_load_json(args.config))
     result = harness.sweep_error_vs_K(cfg)
+    text = harness.stable_json_dumps(result.to_json())  # rejects NaN before anything is written
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "sweep_result.json").write_text(
-        harness.stable_json_dumps(result.to_json()), encoding="utf-8"
-    )
+    (out_dir / "sweep_result.json").write_text(text, encoding="utf-8")
     (out_dir / "points.csv").write_text(result.points_csv(), encoding="utf-8")
     return EXIT_OK
 
@@ -201,8 +202,12 @@ def main(argv=None) -> int:
         # argparse exits 2 on bad usage already; normalize other codes
         return EXIT_INVALID if exc.code not in (0,) else 0
     try:
-        return args.fn(args)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+        # An overflowing or undefined numpy operation means out-of-envelope input.
+        with np.errstate(over="raise", invalid="raise"):
+            return args.fn(args)
+    except (
+        ValueError, OverflowError, FloatingPointError, OSError, KeyError, json.JSONDecodeError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -14,6 +14,10 @@ DENSITY_ATOL = 1e-10
 # Channel outputs accumulate a little extra floating-point noise.
 CHANNEL_OUTPUT_ATOL = 1e-9
 
+# A Lemma-1 campaign instance violates dominance when its observed increase
+# exceeds the bound by more than this.
+DOMINANCE_SLACK = 1e-8
+
 # Mixture probabilities must sum to one within this.
 PROBABILITY_SUM_ATOL = 1e-12
 
@@ -40,6 +44,14 @@ RNG_NAME = "numpy-PCG64"
 # Documented envelope: dense superoperators reach dim**2 = 4096 at dim 64.
 SUPPORTED_MAX_DIM = 64
 
+# Largest state panel: its (panel, dim, dim) complex projector stack is 64 MB
+# at dim 64.
+SUPPORTED_MAX_PANEL = 1024
+
 # Largest exhaustive Lemma-2 grid, in points; the default n=9, 20-step grid
 # has 2,889,315. Finer grids are rejected before anything is built.
 LEMMA2_GRID_MAX_ROWS = 4_000_000
+
+# Largest Lemma-2 coordinate count; the refined-local polish costs about n**3
+# and takes about 13 s at n=32 on a 2-core machine.
+LEMMA2_MAX_N = 32

@@ -1,8 +1,8 @@
 """Term-set decompositions H = H_1 + ... + H_m.
 
 Provides validated term sets, a reproducible Gaussian random ensemble, a
-spin-chain preset with genuinely noncommuting parts, and exact JSON
-round-tripping.
+spin-chain preset with genuinely noncommuting parts, and an exact JSON
+writer.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "min_pairwise_commutator",
     "random_termset",
     "spin_chain_termset",
-    "termset_from_json",
     "termset_to_json",
     "total",
 ]
@@ -196,7 +195,7 @@ def spin_chain_termset(n_qubits: int, jx: float, jz: float, hx: float) -> TermSe
 
 
 def termset_to_json(ts: TermSet) -> dict:
-    """JSON document: {dim, labels, terms: [[[re, im], ...] row-major]}."""
+    """Exact JSON document: {dim, labels, terms: [[[re, im], ...] row-major]}."""
     return {
         "dim": ts.dim,
         "labels": list(ts.labels),
@@ -206,14 +205,3 @@ def termset_to_json(ts: TermSet) -> dict:
         ],
     }
 
-
-def termset_from_json(doc: dict) -> TermSet:
-    """Inverse of :func:`termset_to_json`; round-trips exactly."""
-    d = int(doc["dim"])
-    terms = []
-    for flat in doc["terms"]:
-        if len(flat) != d * d:
-            raise ValueError(f"term has {len(flat)} entries, expected {d * d}")
-        m = np.array([complex(re, im) for re, im in flat], dtype=complex).reshape(d, d)
-        terms.append(m)
-    return TermSet(dim=d, terms=tuple(terms), labels=tuple(doc["labels"]))

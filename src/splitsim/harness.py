@@ -19,11 +19,16 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .config import COMMUTING_ERROR_FLOOR, SUPPORTED_MAX_DIM
+from .config import (
+    COMMUTING_ERROR_FLOOR,
+    DOMINANCE_SLACK,
+    SUPPORTED_MAX_DIM,
+    SUPPORTED_MAX_PANEL,
+)
 from .channels import evolve_states, exact_evolution, lemma1_report, word_stack
 from .hamiltonians import (
     TermSet,
@@ -49,7 +54,6 @@ __all__ = [
     "ScalingReport",
     "SchemeEvaluator",
     "SweepResult",
-    "fit_cost_constant",
     "fit_loglog",
     "lemma1_campaign",
     "scaling_cross_check",
@@ -62,6 +66,7 @@ __all__ = [
 SCHEMES = ("trotter", "strang", "alg1", "alg2")
 
 _PANEL_SIZE = 16
+_STAGE_PANEL_SEED = 7
 _BISECTION_K_CAP = 2**22
 
 # Default time grids for the cost cross-check, one per scheme. First-order
@@ -86,7 +91,7 @@ EXPECTED_EXPONENTS = {
 
 
 def stable_json_dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _require_int(name: str, value, minimum: int) -> int:
@@ -124,6 +129,13 @@ def _require_qubits(n_qubits) -> None:
         )
 
 
+def _require_panel(panel_size) -> None:
+    if _require_int("panel_size", panel_size, 1) > SUPPORTED_MAX_PANEL:
+        raise ValueError(
+            f"panel_size={panel_size} is above the supported maximum {SUPPORTED_MAX_PANEL}"
+        )
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """One experiment: a scheme, an instance, and a list of segment counts."""
@@ -157,7 +169,7 @@ class RunConfig:
             raise ValueError(f"d={self.d} is above the supported maximum {SUPPORTED_MAX_DIM}")
         _require_int("m", self.m, 2)
         _require_int("seed", self.seed, 0)
-        _require_int("panel_size", self.panel_size, 1)
+        _require_panel(self.panel_size)
         if not isinstance(self.drop_bend_points, bool):
             raise ValueError(
                 f"drop_bend_points must be true or false, got {self.drop_bend_points!r}"
@@ -188,23 +200,7 @@ class RunConfig:
         return cls(**doc)
 
     def to_json(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "t": self.t,
-            "k_list": list(self.k_list),
-            "seed": self.seed,
-            "n_qubits": self.n_qubits,
-            "jx": self.jx,
-            "jz": self.jz,
-            "hx": self.hx,
-            "d": self.d,
-            "m": self.m,
-            "norm_bound": self.norm_bound,
-            "panel_size": self.panel_size,
-            "drop_bend_points": self.drop_bend_points,
-            "bend_residual_tol": self.bend_residual_tol,
-            "out": self.out,
-        }
+        return asdict(self)
 
     def build_termset(self) -> TermSet:
         if self.n_qubits is not None:
@@ -305,17 +301,7 @@ class SweepResult:
     meta: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "t": self.t,
-            "points": [[k, n, e] for k, n, e in self.points],
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "r2": self.r2,
-            "commuting": self.commuting,
-            "dropped_smallest": self.dropped_smallest,
-            "meta": dict(self.meta),
-        }
+        return asdict(self)
 
     def points_csv(self) -> str:
         lines = ["K,N,error"]
@@ -351,27 +337,16 @@ def sweep_error_vs_K(cfg: RunConfig) -> SweepResult:
     }
 
     commuting = all(e < COMMUTING_ERROR_FLOOR for _, _, e in points)
-    if commuting or len(points) < 3:
-        return SweepResult(
-            scheme=cfg.scheme,
-            t=cfg.t,
-            points=tuple(points),
-            slope=None,
-            intercept=None,
-            r2=None,
-            commuting=commuting,
-            dropped_smallest=0,
-            meta=meta,
-        )
-
-    slope, intercept, r2 = fit_loglog([(k, e) for k, _, e in points])
+    slope = intercept = r2 = None
     dropped = 0
-    if cfg.drop_bend_points and len(points) >= 5:
-        k_last, e_last = points[-1][0], points[-1][2]
-        resid_last = abs(np.log(e_last) - (slope * np.log(k_last) + intercept))
-        if resid_last > cfg.bend_residual_tol:
-            slope, intercept, r2 = fit_loglog([(k, e) for k, _, e in points[2:]])
-            dropped = 2
+    if not commuting and len(points) >= 3:
+        slope, intercept, r2 = fit_loglog([(k, e) for k, _, e in points])
+        if cfg.drop_bend_points and len(points) >= 5:
+            k_last, e_last = points[-1][0], points[-1][2]
+            resid_last = abs(np.log(e_last) - (slope * np.log(k_last) + intercept))
+            if resid_last > cfg.bend_residual_tol:
+                slope, intercept, r2 = fit_loglog([(k, e) for k, _, e in points[2:]])
+                dropped = 2
     return SweepResult(
         scheme=cfg.scheme,
         t=cfg.t,
@@ -379,13 +354,13 @@ def sweep_error_vs_K(cfg: RunConfig) -> SweepResult:
         slope=slope,
         intercept=intercept,
         r2=r2,
-        commuting=False,
+        commuting=commuting,
         dropped_smallest=dropped,
         meta=meta,
     )
 
 
-def stage_order_ratios(ts: TermSet, dts, panel_seed: int = 7, panel_size: int = _PANEL_SIZE) -> dict:
+def stage_order_ratios(ts: TermSet, dts) -> dict:
     """Per-stage error and bound across a list of halving dt values.
 
     The single-term scheme is measured per m-stage group (its natural unit of
@@ -395,7 +370,7 @@ def stage_order_ratios(ts: TermSet, dts, panel_seed: int = 7, panel_size: int = 
     halving).
     """
     dts = [float(dt) for dt in dts]
-    panel = state_panel(ts.dim, panel_size, panel_seed)
+    panel = state_panel(ts.dim, _PANEL_SIZE, _STAGE_PANEL_SEED)
     psi0 = pure_density(panel[0])
     out: dict = {"dts": dts}
     for scheme, mix_fn in (("alg1", alg1_stage_mixture), ("alg2", alg2_stage_mixture)):
@@ -412,24 +387,6 @@ def stage_order_ratios(ts: TermSet, dts, panel_seed: int = 7, panel_size: int = 
             "bound_ratios": [a / b for a, b in zip(bounds, bounds[1:])],
         }
     return out
-
-
-def fit_cost_constant(cfg: RunConfig) -> float:
-    """Calibration constant c with error ~= c * t^3 / K^2, fit from a sweep.
-
-    Feeds :func:`splitsim.bounds.min_exponentials`. Meaningful for the
-    second-order schemes (slope near -2); c is instance-dependent, so refit
-    it whenever the term set changes.
-    """
-    res = sweep_error_vs_K(cfg)
-    if res.slope is None:
-        raise ValueError("cannot calibrate on a commuting instance")
-    if abs(res.slope + 2.0) > 0.5:
-        raise ValueError(
-            f"fitted slope {res.slope:.2f} is not second order; calibrate on a "
-            "second-order scheme sweep"
-        )
-    return float(np.exp(res.intercept) / cfg.t**3)
 
 
 @dataclass(frozen=True)
@@ -449,17 +406,7 @@ class CampaignReport:
         return not self.violations
 
     def to_json(self) -> dict:
-        return {
-            "n_instances": self.n_instances,
-            "seed": self.seed,
-            "ok": self.ok,
-            "n_violations": len(self.violations),
-            "violations": [dict(v) for v in self.violations],
-            "best_observed_over_bound": self.best_observed_over_bound,
-            "best_observed_over_mean_dev": self.best_observed_over_mean_dev,
-            "best_observed_over_sq_dev": self.best_observed_over_sq_dev,
-            "n_controls": self.n_controls,
-        }
+        return {**asdict(self), "ok": self.ok, "n_violations": len(self.violations)}
 
 
 def _control_instance(rng: np.random.Generator) -> tuple[TermSet, UnitaryMixture, float]:
@@ -485,12 +432,12 @@ def _random_mixed_state(rng: np.random.Generator, psi: np.ndarray, weight: float
     return DensityMatrix(mat)
 
 
-def lemma1_campaign(n_instances: int, seed: int, dominance_slack: float = 1e-8) -> CampaignReport:
+def lemma1_campaign(n_instances: int, seed: int) -> CampaignReport:
     """Random-instance dominance campaign for the trace-distance bound.
 
     Draws (term set, stage mixture, dt, input state) instances, evaluates the
     bound report for each, and records any instance whose observed increase
-    exceeds the bound plus the slack, serialized for reproduction. Also
+    exceeds the bound plus ``DOMINANCE_SLACK``, serialized for reproduction. Also
     tracks the best tightness ratios seen, plus exact commuting controls
     where bound and observed must both vanish.
     """
@@ -546,7 +493,7 @@ def lemma1_campaign(n_instances: int, seed: int, dominance_slack: float = 1e-8) 
                 "seed": instance_seed,
             },
         )
-        if rep.observed_raw > rep.bound + dominance_slack:
+        if rep.observed_raw > rep.bound + DOMINANCE_SLACK:
             violations.append(
                 {
                     "index": i,
@@ -608,11 +555,7 @@ class ScalingReport:
     fixed_t: float
 
     def to_json(self) -> dict:
-        return {
-            "fixed_eps": self.fixed_eps,
-            "fixed_t": self.fixed_t,
-            "per_scheme": self.per_scheme,
-        }
+        return asdict(self)
 
 
 def scaling_cross_check(
@@ -663,7 +606,7 @@ def scaling_cross_check(
     for name, value in zip(("jx", "jz", "hx"), couplings):
         _require_finite(name, value)
     _require_int("seed", seed, 0)
-    _require_int("panel_size", panel_size, 1)
+    _require_panel(panel_size)
     _require_int("k_cap", k_cap, 1)
     ts = spin_chain_termset(n_qubits, *couplings)
     panel = state_panel(ts.dim, panel_size, seed)

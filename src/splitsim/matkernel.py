@@ -24,9 +24,7 @@ __all__ = [
     "as_complex_matrix",
     "expm_hermitian",
     "hermitian_deviation",
-    "hermitian_eig",
     "kron",
-    "maximally_mixed",
     "pure_density",
     "spectral_norm",
     "trace_distance",
@@ -58,20 +56,6 @@ def _require_hermitian(m: np.ndarray, what: str, atol: float) -> None:
         raise ValueError(
             f"{what} must be Hermitian: ||m - m^dagger|| = {dev:.3e} > {atol:.1e}"
         )
-
-
-def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns ``(w, v)`` with real eigenvalues ``w`` sorted descending and
-    unitary ``v`` whose columns are the matching eigenvectors, so that
-    ``a = v @ diag(w) @ v.conj().T``.
-    """
-    m = as_complex_matrix(a)
-    _require_square(m, "eigendecomposition input")
-    _require_hermitian(m, "eigendecomposition input", HERMITIAN_INPUT_ATOL)
-    w, v = np.linalg.eigh(m)
-    return w[::-1].copy(), v[:, ::-1].copy()
 
 
 def _spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -169,13 +153,6 @@ def pure_density(vec) -> DensityMatrix:
         raise ValueError("cannot build a pure state from the zero vector")
     v = v / n
     return DensityMatrix(np.outer(v, v.conj()))
-
-
-def maximally_mixed(dim: int) -> DensityMatrix:
-    """The state I/dim."""
-    if dim < 1:
-        raise ValueError(f"dimension must be positive, got {dim}")
-    return DensityMatrix(np.eye(dim, dtype=complex) / dim)
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:

@@ -11,6 +11,7 @@ evaluation to a concrete unitary happens against a TermSet.
 from __future__ import annotations
 
 import itertools
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -25,10 +26,8 @@ __all__ = [
     "alg1_stage_mixture",
     "alg2_stage_mixture",
     "concat_words",
-    "mixture_from_json",
     "mixture_power",
     "mixture_to_json",
-    "sample_schedule",
     "strang_word",
     "trotter_word",
     "word_from_json",
@@ -42,7 +41,7 @@ _MIXTURE_POWER_CAP = 4096
 
 @dataclass(frozen=True)
 class Word:
-    """Ordered (term index, duration) steps, durations strictly positive."""
+    """Ordered (term index, duration) steps, durations finite and strictly positive."""
 
     steps: tuple[tuple[int, float], ...]
 
@@ -57,6 +56,8 @@ class Word:
                 raise ValueError(
                     f"step {i} has duration {tau}; every duration must be strictly positive"
                 )
+            if not math.isfinite(tau):
+                raise ValueError(f"step {i} has duration {tau}; every duration must be finite")
             clean.append((k, tau))
         object.__setattr__(self, "steps", tuple(clean))
 
@@ -117,13 +118,12 @@ def trotter_word(ts: TermSet, dt: float, reps: int) -> Word:
     return Word(tuple(one_pass * reps))
 
 
-def strang_word(ts: TermSet, dt: float, reps: int, merge: bool = True) -> Word:
+def strang_word(ts: TermSet, dt: float, reps: int) -> Word:
     """``reps`` repetitions of the half-step palindrome.
 
     One repetition is (1, dt/2), ..., (m, dt/2), (m, dt/2), ..., (1, dt/2).
-    With ``merge=True`` (default) adjacent equal-index steps are summed, which
-    shortens the word without changing its unitary; pass ``merge=False`` to
-    keep the literal palindrome for audits that count exponentials.
+    Adjacent equal-index steps are summed, which shortens the word without
+    changing its unitary.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -132,10 +132,7 @@ def strang_word(ts: TermSet, dt: float, reps: int, merge: bool = True) -> Word:
     half = dt / 2.0
     ascending = [(k, half) for k in range(1, ts.m + 1)]
     palindrome = ascending + ascending[::-1]
-    steps = palindrome * reps
-    if merge:
-        return Word(_merge_adjacent(steps))
-    return Word(tuple(steps))
+    return Word(_merge_adjacent(palindrome * reps))
 
 
 @dataclass(frozen=True)
@@ -180,35 +177,20 @@ def alg2_stage_mixture(ts: TermSet, dt: float) -> UnitaryMixture:
     """One stage of the random-ordering scheme (alg2).
 
     Uniform choice among the m! words that apply every term once, for dt, in
-    a uniformly random order. Capped at m <= 6; beyond that enumerate via
-    sampling (:func:`sample_schedule`) instead of building the full mixture.
+    a uniformly random order. Capped at m <= 6.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if ts.m > _ALG2_MAX_TERMS:
         raise ValueError(
             f"m={ts.m} would enumerate {ts.m}! words; the factorial mixture is capped at "
-            f"m <= {_ALG2_MAX_TERMS}. Draw schedules with sample_schedule instead."
+            f"m <= {_ALG2_MAX_TERMS}"
         )
     perms = list(itertools.permutations(range(1, ts.m + 1)))
     p = 1.0 / len(perms)
     return UnitaryMixture(
         tuple((p, Word(tuple((k, dt) for k in sigma))) for sigma in perms)
     )
-
-
-def sample_schedule(mix: UnitaryMixture, stages: int, seed: int) -> Word:
-    """Concatenate ``stages`` independent draws from the mixture.
-
-    Deterministic for a given seed. Draws are concatenated in draw order, so
-    the first draw is the leftmost block of the schedule.
-    """
-    if stages < 1:
-        raise ValueError(f"stage count must be >= 1, got {stages}")
-    rng = np.random.default_rng(seed)
-    probs = np.array([p for p, _ in mix.entries])
-    idx = rng.choice(len(mix.entries), size=stages, p=probs)
-    return concat_words(*(mix.entries[i][1] for i in idx))
 
 
 def mixture_power(mix: UnitaryMixture, stages: int) -> UnitaryMixture:
@@ -263,8 +245,3 @@ def word_from_json(doc: dict) -> Word:
 def mixture_to_json(mix: UnitaryMixture) -> dict:
     return {"entries": [{"p": p, "word": word_to_json(w)} for p, w in mix.entries]}
 
-
-def mixture_from_json(doc: dict) -> UnitaryMixture:
-    return UnitaryMixture(
-        tuple((float(e["p"]), word_from_json(e["word"])) for e in doc["entries"])
-    )

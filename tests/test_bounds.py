@@ -9,11 +9,8 @@ from splitsim.bounds import (
     _composition_blocks,
     _composition_count,
     audit_schedule,
-    cubic_sum,
-    equal_split_floor,
     lemma2_max,
     lemma2_uniform_value,
-    min_exponentials,
 )
 from splitsim.config import LEMMA2_GRID_MAX_ROWS
 from splitsim.schedules import Word
@@ -157,53 +154,6 @@ class TestAuditSchedule:
         assert audit.verdict == "obstructed"
         assert audit.s < THIRD
         assert audit.gap > 0
-
-
-class TestMinExponentials:
-    def test_doubling_t(self):
-        k1 = min_exponentials(1.0, 1e-4, 1.0)
-        k2 = min_exponentials(2.0, 1e-4, 1.0)
-        assert k1 == 100
-        assert k2 == int(np.ceil(100 * 2**1.5))
-
-    def test_quartering_eps_doubles(self):
-        k1 = min_exponentials(1.0, 1e-4, 1.0)
-        k2 = min_exponentials(1.0, 2.5e-5, 1.0)
-        assert k2 == 2 * k1
-
-    def test_minimality(self):
-        k = min_exponentials(1.3, 3e-4, 0.7)
-        assert 0.7 * 1.3**3 / k**2 <= 3e-4
-        assert k == 1 or 0.7 * 1.3**3 / (k - 1) ** 2 > 3e-4
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            min_exponentials(0.0, 1e-4, 1.0)
-
-
-class TestEqualSplitOptimality:
-    def test_convexity_witness(self):
-        assert cubic_sum([0.5, 0.5]) == pytest.approx(0.25)
-        assert cubic_sum([0.25, 0.75]) == pytest.approx(0.4375)
-        assert equal_split_floor(1.0, 2) == 0.25
-
-    @settings(max_examples=50, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1))
-    def test_random_partitions_dominate_floor(self, seed):
-        rng = np.random.default_rng(seed)
-        k = int(rng.integers(2, 9))
-        t = float(rng.uniform(0.5, 4.0))
-        parts = rng.dirichlet(np.ones(k)) * t
-        if parts.min() <= 0:
-            return
-        assert cubic_sum(parts) >= equal_split_floor(t, k) - 1e-12
-
-    def test_equality_only_at_uniform(self):
-        t, k = 2.0, 4
-        uniform = [t / k] * k
-        assert abs(cubic_sum(uniform) - equal_split_floor(t, k)) <= 1e-12
-        skew = [t / k + 0.01, t / k - 0.01] + [t / k] * (k - 2)
-        assert cubic_sum(skew) > equal_split_floor(t, k) + 1e-9
 
 
 class TestGridEnumeration:

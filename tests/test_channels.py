@@ -22,7 +22,6 @@ from splitsim.hamiltonians import TermSet, random_termset, total
 from splitsim.matkernel import (
     DensityMatrix,
     expm_hermitian,
-    maximally_mixed,
     pure_density,
     spectral_norm,
     trace_distance,
@@ -90,7 +89,7 @@ class TestMixtureSuperoperator:
 
     def test_unital_fixes_maximally_mixed(self, ts):
         s = mixture_superoperator(ts, alg1_stage_mixture(ts, 0.2))
-        out = apply_channel(s, maximally_mixed(4))
+        out = apply_channel(s, DensityMatrix(np.eye(4) / 4))
         assert spectral_norm(out.mat - np.eye(4) / 4) <= 1e-12
 
     def test_trace_preserving(self, ts, rng):
@@ -247,8 +246,8 @@ class TestLemma1Report:
                 alg1_stage_mixture(ts, 0.1),
                 1,
                 0.1,
-                maximally_mixed(4),
-                maximally_mixed(4),
+                DensityMatrix(np.eye(4) / 4),
+                DensityMatrix(np.eye(4) / 4),
             )
 
     def test_per_stage_orders(self):

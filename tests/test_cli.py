@@ -57,6 +57,12 @@ class TestSimulate:
             ({"bend_residual_tol": "x", "k_list": [8, 16, 32, 64, 128]}, "bend_residual_tol"),
             ({"bend_residual_tol": -0.1}, "bend_residual_tol"),
             ({"drop_bend_points": "no"}, "drop_bend_points"),
+            # exp(-i H t) overflows: the run would report a NaN error.
+            (
+                {"scheme": "trotter", "t": 1e308, "k_list": [1, 2], "seed": 0,
+                 "n_qubits": None, "d": 4, "m": 2, "norm_bound": 10},
+                "overflow",
+            ),
         ],
     )
     def test_malformed_config_exits_two(self, tmp_path, capsys, override, message):
@@ -64,11 +70,26 @@ class TestSimulate:
         doc.update(override)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
+        out = tmp_path / "report.json"
         start = time.perf_counter()
-        assert main(["simulate", "--config", str(path)]) == EXIT_INVALID
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_INVALID
         assert time.perf_counter() - start < 5.0
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+        assert not out.exists()
+
+    def test_oversized_panel_exits_two(self, tmp_path, capsys):
+        # 10**6 states at d=64 would be a 65 GB projector stack; the cap is
+        # checked before anything is built.
+        path = tmp_path / "panel.json"
+        path.write_text(json.dumps(
+            {"scheme": "alg1", "t": 1.0, "k_list": [1], "d": 64, "panel_size": 1000000}
+        ))
+        start = time.perf_counter()
+        assert main(["simulate", "--config", str(path)]) == EXIT_INVALID
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "panel_size" in err
 
 
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
@@ -154,11 +175,14 @@ class TestVerifyLemma2:
         [
             (["--n", "9", "--grid", "40"], "357368319 points"),
             (["--n", "12", "--grid", "20"], "n <= 9"),
+            (["--n", "33"], "supported maximum of 32"),
+            (["--n", "200"], "supported maximum of 32"),
         ],
     )
     def test_oversized_or_ignored_grid_exits_two(self, capsys, argv, message):
         # The n=9, 40-step grid has 357,368,319 points (about 6.4 GB of int16);
-        # it is counted and rejected before anything is built.
+        # it is counted and rejected before anything is built. The polish
+        # costs about n**3, so n above 32 is rejected before any work.
         start = time.perf_counter()
         assert main(["verify-lemma2", *argv]) == EXIT_INVALID
         assert time.perf_counter() - start < 1.0
@@ -185,13 +209,21 @@ class TestExpand:
         assert "mistimed" in capsys.readouterr().out.split("\n")[0]
 
     @pytest.mark.parametrize(
-        "doc", [[], {"steps": 5}, {"steps": [[1]]}, {"steps": [[1.5, 1.0]]}, {"steps": [[1, None]]}]
+        "doc",
+        [
+            [], {"steps": 5}, {"steps": [[1]]}, {"steps": [[1.5, 1.0]]}, {"steps": [[1, None]]},
+            {"steps": [[1, float("inf")], [2, 0.5], [1, 0.5]]},  # written as Infinity
+            {"steps": [[1, 1e300], [2, 1e300]]},  # the series overflows
+        ],
     )
     def test_malformed_word_exits_two(self, tmp_path, capsys, doc):
         word_path = tmp_path / "word.json"
         word_path.write_text(json.dumps(doc))
-        assert main(["expand", "--word", str(word_path), "--pair", "1,2"]) == EXIT_INVALID
+        out = tmp_path / "expand.json"
+        argv = ["expand", "--word", str(word_path), "--pair", "1,2", "--out", str(out)]
+        assert main(argv) == EXIT_INVALID
         assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
 
     def test_bad_pair_argument(self, tmp_path):
         word_path = tmp_path / "word.json"
@@ -234,6 +266,7 @@ class TestScaling:
             {"t_values": {"trotter": [1.0]}},
             {"k_cap": 0},
             {"out": 5},
+            {"panel_size": 1025},
         ],
     )
     def test_malformed_scaling_config_exits_two(self, tmp_path, capsys, override):

@@ -4,7 +4,6 @@ import pytest
 from splitsim.harness import (
     DEFAULT_SCALING_T_GRID,
     RunConfig,
-    fit_cost_constant,
     fit_loglog,
     lemma1_campaign,
     scaling_cross_check,
@@ -64,6 +63,7 @@ class TestRunConfig:
             ("bend_residual_tol", "x", "finite"),
             ("bend_residual_tol", -1.0, ">= 0"),
             ("out", 5, "path string"),
+            ("panel_size", 1025, "supported maximum"),
         ],
     )
     def test_rejects_malformed_fields(self, key, value, match):
@@ -263,32 +263,6 @@ class TestCampaign:
         doc = lemma1_campaign(10, seed=2).to_json()
         assert doc["ok"] is True
         assert doc["n_violations"] == 0
-
-
-class TestCostCalibration:
-    def test_calibrated_constant_predicts_bisected_k(self):
-        from splitsim.bounds import min_exponentials
-        from splitsim.harness import _bisect_min_k
-
-        cfg = RunConfig(
-            scheme="strang", t=1.0, k_list=(16, 32, 64, 128), seed=7, n_qubits=2
-        )
-        c = fit_cost_constant(cfg)
-        assert c > 0
-        eps = 1e-4
-        predicted = min_exponentials(1.0, eps, c)
-        ts = cfg.build_termset()
-        ev = SchemeEvaluator(ts, "strang", 1.0, state_panel(4, 16, 7))
-        actual, achieved = _bisect_min_k(ev, eps, 2**20)
-        assert achieved == ev.error(actual) <= eps
-        assert 0.5 <= predicted / actual <= 2.0
-
-    def test_rejects_first_order_calibration(self):
-        cfg = RunConfig(
-            scheme="trotter", t=1.0, k_list=(16, 32, 64), seed=7, n_qubits=2
-        )
-        with pytest.raises(ValueError, match="second order"):
-            fit_cost_constant(cfg)
 
 
 class TestScaling:

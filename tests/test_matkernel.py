@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from splitsim.matkernel import (
     DensityMatrix,
     expm_hermitian,
-    hermitian_eig,
     kron,
-    maximally_mixed,
     pure_density,
     spectral_norm,
     trace_distance,
@@ -23,33 +21,11 @@ X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-class TestHermitianEig:
-    def test_diagonal(self):
-        w, v = hermitian_eig(np.diag([3.0, 1.0]))
-        assert np.allclose(w, [3.0, 1.0])
-        assert np.allclose(np.abs(v), np.eye(2))
-
-    def test_pauli_x_spectrum(self):
-        w, _ = hermitian_eig(X)
-        assert np.allclose(w, [1.0, -1.0])
-
-    def test_reconstruction_oracle(self, rng):
-        a = random_hermitian(rng, 8, scale=2.0)
-        w, v = hermitian_eig(a)
-        assert spectral_norm(v @ np.diag(w) @ v.conj().T - a) <= 1e-10
-        assert spectral_norm(v.conj().T @ v - np.eye(8)) <= 1e-10
-        assert all(x >= y for x, y in zip(w, w[1:]))  # descending
-
+class TestExpmHermitian:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
-            hermitian_eig(np.ones((2, 3)))
+            expm_hermitian(np.ones((2, 3)), 1.0)
 
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-class TestExpmHermitian:
     def test_tau_zero_is_identity(self, rng):
         a = random_hermitian(rng, 4)
         assert np.allclose(expm_hermitian(a, 0.0), np.eye(4), atol=1e-14)
@@ -128,7 +104,7 @@ class TestNorms:
     def test_trace_norm_svd_oracle(self, rng):
         # oracle: eigendecompose m^dagger m, singular values are the sqrt
         m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        w, _ = hermitian_eig(m.conj().T @ m)
+        w = np.linalg.eigvalsh(m.conj().T @ m)
         expected = np.sqrt(np.clip(w, 0, None)).sum()
         assert abs(trace_norm(m) - expected) <= 1e-10
 
@@ -185,9 +161,6 @@ class TestDensityMatrix:
         dm = DensityMatrix(random_density_mat(rng, 2))
         with pytest.raises(ValueError):
             dm.mat[0, 0] = 0.0
-
-    def test_maximally_mixed(self):
-        assert np.allclose(maximally_mixed(4).mat, np.eye(4) / 4)
 
 
 class TestTraceDistance:

@@ -9,10 +9,7 @@ from splitsim.schedules import (
     Word,
     alg1_stage_mixture,
     alg2_stage_mixture,
-    mixture_from_json,
     mixture_power,
-    mixture_to_json,
-    sample_schedule,
     strang_word,
     trotter_word,
     word_from_json,
@@ -96,21 +93,23 @@ class TestTrotterWord:
         assert spectral_norm(word_unitary(ts, w) - u0) <= 1e-10
 
 
+def _literal_palindrome(m: int, dt: float, reps: int) -> Word:
+    """The Strang palindrome with no adjacent steps merged."""
+    ascending = [(k, dt / 2.0) for k in range(1, m + 1)]
+    return Word(tuple((ascending + ascending[::-1]) * reps))
+
+
 class TestStrangWord:
     def test_merged_palindrome(self, ts):
         assert strang_word(ts, 1.0, 1).steps == ((1, 0.5), (2, 1.0), (1, 0.5))
 
-    def test_unmerged_palindrome(self, ts):
-        w = strang_word(ts, 1.0, 1, merge=False)
-        assert w.steps == ((1, 0.5), (2, 0.5), (2, 0.5), (1, 0.5))
-
     def test_merge_does_not_change_unitary(self, ts3):
         merged = strang_word(ts3, 0.4, 3)
-        literal = strang_word(ts3, 0.4, 3, merge=False)
+        literal = _literal_palindrome(3, 0.4, 3)
         assert spectral_norm(word_unitary(ts3, merged) - word_unitary(ts3, literal)) <= 1e-12
 
     def test_bookkeeping_m3(self, ts3):
-        literal = strang_word(ts3, 0.2, 2, merge=False)
+        literal = _literal_palindrome(3, 0.2, 2)
         merged = strang_word(ts3, 0.2, 2)
         assert len(literal) == 2 * 3 * 2
         assert len(merged) == 9  # middle merges within reps, boundaries across reps
@@ -163,7 +162,7 @@ class TestMixtures:
 
     def test_alg2_cap(self):
         ts = random_termset(2, 7, 1.0, seed=2)
-        with pytest.raises(ValueError, match="sample_schedule"):
+        with pytest.raises(ValueError, match="m <= 6"):
             alg2_stage_mixture(ts, 0.1)
 
     def test_probabilities_must_sum_to_one(self):
@@ -174,30 +173,6 @@ class TestMixtures:
     def test_mixture_nonempty(self):
         with pytest.raises(ValueError, match="at least one"):
             UnitaryMixture(())
-
-
-class TestSampleSchedule:
-    def test_single_entry(self, ts):
-        w = trotter_word(ts, 0.2, 1)
-        mix = UnitaryMixture(((1.0, w),))
-        assert sample_schedule(mix, 1, seed=0) == w
-
-    def test_deterministic(self, ts):
-        mix = alg2_stage_mixture(ts, 0.1)
-        assert sample_schedule(mix, 50, seed=3) == sample_schedule(mix, 50, seed=3)
-
-    def test_empirical_frequencies_within_3_sigma(self, ts):
-        mix = alg1_stage_mixture(ts, 0.1)
-        n = 10000
-        w = sample_schedule(mix, n, seed=42)
-        count1 = sum(1 for k, _ in w.steps if k == 1)
-        sigma = np.sqrt(n * 0.5 * 0.5)
-        assert abs(count1 - n / 2) <= 3 * sigma
-
-    def test_stage_count(self, ts):
-        mix = alg2_stage_mixture(ts, 0.1)
-        w = sample_schedule(mix, 7, seed=1)
-        assert len(w) == 7 * 2
 
 
 class TestMixturePower:
@@ -215,11 +190,6 @@ class TestJson:
     def test_word_round_trip(self):
         w = Word(((1, 0.125), (2, 0.6)))
         assert word_from_json(word_to_json(w)) == w
-
-    def test_mixture_round_trip(self, ts):
-        mix = alg2_stage_mixture(ts, 0.1)
-        back = mixture_from_json(mixture_to_json(mix))
-        assert back == mix
 
 
 def test_commuting_instance_all_schemes_exact(commuting_termset):
