@@ -8,6 +8,7 @@ schedules for the per-stage obstruction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -254,8 +255,8 @@ def audit_schedule(w: Word, a: int, b: int, dt_unit: float) -> ScheduleAudit:
     one stage of length dt_unit. If either per-term total differs from 1 the
     verdict is 'mistimed'; otherwise s comes from the interleaving profile.
     """
-    if not dt_unit > 0:
-        raise ValueError(f"dt_unit must be positive, got {dt_unit}")
+    if not (math.isfinite(dt_unit) and dt_unit > 0):
+        raise ValueError(f"dt_unit must be finite and positive, got {dt_unit}")
     if a == b:
         raise ValueError("the pair must consist of two distinct terms")
     alpha = w.term_total(a) / dt_unit

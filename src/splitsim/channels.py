@@ -42,7 +42,13 @@ import numpy as np
 
 from .config import CHANNEL_OUTPUT_ATOL
 from .hamiltonians import TermSet, total
-from .matkernel import DensityMatrix, expm_hermitian, spectral_norm, trace_distance
+from .matkernel import (
+    DensityMatrix,
+    expm_hermitian,
+    spectral_norm,
+    spectral_norms,
+    trace_distance,
+)
 from .schedules import UnitaryMixture, mixture_power, word_unitary
 
 __all__ = [
@@ -270,12 +276,13 @@ def mean_unitary(probs: np.ndarray, us: np.ndarray) -> np.ndarray:
 
 
 def expected_sq_deviation(probs: np.ndarray, us: np.ndarray, u0: np.ndarray) -> float:
-    """sum_w p_w ||U_w - U0||^2 in the spectral norm, over stacked words."""
+    """sum_w p_w ||U_w - U0||^2 in the spectral norm, over stacked words,
+    summed in entry order; all the norms come from one stacked SVD."""
     u0 = np.asarray(u0, dtype=complex)
     if u0.shape != us.shape[1:]:
         raise ValueError(f"reference unitary has shape {u0.shape}, expected {us.shape[1:]}")
     return float(
-        sum(p * spectral_norm(u - u0) ** 2 for p, u in zip(probs.tolist(), us))
+        sum(p * n**2 for p, n in zip(probs.tolist(), spectral_norms(us - u0)))
     )
 
 

@@ -16,12 +16,13 @@ from .config import (
     HERMITIAN_OUTPUT_ATOL,
 )
 from .matkernel import (
+    _hermitian_violation,
     _spectral_exp,
     _spectrum,
     as_complex_matrix,
-    hermitian_deviation,
     kron,
     spectral_norm,
+    spectral_norms,
 )
 
 __all__ = [
@@ -71,8 +72,8 @@ class TermSet:
                 raise ValueError(
                     f"term {i + 1} has shape {m.shape}, expected ({self.dim}, {self.dim})"
                 )
-            dev = hermitian_deviation(m)
-            if dev > HERMITIAN_OUTPUT_ATOL:
+            dev = _hermitian_violation(m, HERMITIAN_OUTPUT_ATOL)
+            if dev is not None:
                 raise ValueError(
                     f"term {i + 1} is not Hermitian: deviation {dev:.3e}"
                 )
@@ -113,12 +114,11 @@ def total(ts: TermSet) -> np.ndarray:
 
 def min_pairwise_commutator(ts: TermSet) -> float:
     """Smallest spectral norm of [H_j, H_k] over pairs j < k."""
-    best = np.inf
-    for j in range(ts.m):
-        for k in range(j + 1, ts.m):
-            a, b = ts.terms[j], ts.terms[k]
-            best = min(best, spectral_norm(a @ b - b @ a))
-    return float(best)
+    h = ts.terms
+    commutators = [
+        h[j] @ h[k] - h[k] @ h[j] for j in range(ts.m) for k in range(j + 1, ts.m)
+    ]
+    return min(spectral_norms(np.stack(commutators)))
 
 
 def random_termset(d: int, m: int, norm_bound: float, seed: int) -> TermSet:
@@ -145,9 +145,9 @@ def random_termset(d: int, m: int, norm_bound: float, seed: int) -> TermSet:
         terms = []
         for _ in range(m):
             a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            h = (a + a.conj().T) / 2.0
-            h *= norm_bound / spectral_norm(h)
-            terms.append(h)
+            terms.append((a + a.conj().T) / 2.0)
+        for h, norm in zip(terms, spectral_norms(np.stack(terms))):
+            h *= norm_bound / norm
         ts = TermSet(dim=d, terms=tuple(terms), labels=tuple(f"H{k + 1}" for k in range(m)))
         if min_pairwise_commutator(ts) >= DEGENERATE_COMMUTATOR_FLOOR:
             return ts

@@ -3,11 +3,9 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the verdict lines.
 """
 
-import json
 import time
 
 import numpy as np
-import pytest
 
 from splitsim.bounds import lemma2_max, lemma2_uniform_value
 from splitsim.channels import apply_channel, channel_power, mixture_superoperator
@@ -16,7 +14,6 @@ from splitsim.harness import (
     lemma1_campaign,
     scaling_cross_check,
     stage_order_ratios,
-    state_panel,
     sweep_error_vs_K,
     stable_json_dumps,
 )

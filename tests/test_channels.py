@@ -18,7 +18,7 @@ from splitsim.channels import (
     vec,
     word_stack,
 )
-from splitsim.hamiltonians import TermSet, random_termset, total
+from splitsim.hamiltonians import TermSet, random_termset
 from splitsim.matkernel import (
     DensityMatrix,
     expm_hermitian,

@@ -225,6 +225,18 @@ class TestExpand:
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("dt_unit", ["inf", "nan", "0", "-1"])
+    def test_non_finite_or_non_positive_dt_unit_exits_two(self, tmp_path, capsys, dt_unit):
+        word_path = tmp_path / "word.json"
+        word_path.write_text(json.dumps({"steps": [[1, 0.5], [2, 1.0], [1, 0.5]]}))
+        out = tmp_path / "expand.json"
+        argv = ["expand", "--word", str(word_path), "--pair", "1,2",
+                "--dt-unit", dt_unit, "--out", str(out)]
+        assert main(argv) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error: dt_unit") and dt_unit in err
+        assert not out.exists()
+
     def test_bad_pair_argument(self, tmp_path):
         word_path = tmp_path / "word.json"
         word_path.write_text(json.dumps({"steps": [[1, 1.0], [2, 1.0]]}))

@@ -13,8 +13,6 @@ from splitsim.hamiltonians import (
 )
 from splitsim.matkernel import spectral_norm
 
-from conftest import random_hermitian
-
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from splitsim.channels import exact_evolution
-from splitsim.hamiltonians import TermSet, random_termset, spin_chain_termset
+from splitsim.hamiltonians import random_termset
 from splitsim.matkernel import expm_hermitian, spectral_norm
 from splitsim.schedules import (
     UnitaryMixture,
