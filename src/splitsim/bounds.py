@@ -60,42 +60,82 @@ def _composition_count(total: int, parts: int, cap: int) -> int:
     return counts[total]
 
 
-def _composition_blocks(total: int, parts: int, cap: int):
-    """All int vectors of length ``parts`` >= 3 with entries in [0, cap]
-    summing to ``total``, in lexicographic order, yielded as int16 blocks: one
-    block per leading pair of entries. Only the tables of the remaining
-    ``parts - 2`` entries are memoised, so no block holds the whole grid."""
-    memo: dict[tuple[int, int], np.ndarray] = {}
+def _suffix_table(total: int, parts: int, cap: int, memo: dict) -> np.ndarray:
+    """Statistics of every int vector of length ``parts`` with entries in [0, cap]
+    summing to ``total``, in lexicographic order: one int64 row each for S, E,
+    O, Q_eo and Q_oe, one column per vector.
 
-    def rec(tot: int, p: int) -> np.ndarray:
-        if p == 1:
-            if 0 <= tot <= cap:
-                return np.array([[tot]], dtype=np.int16)
-            return np.empty((0, 1), dtype=np.int16)
-        key = (tot, p)
-        if key in memo:
-            return memo[key]
-        blocks = []
-        for v in range(min(tot, cap) + 1):
-            sub = rec(tot - v, p - 1)
-            if len(sub):
-                col = np.full((len(sub), 1), v, dtype=np.int16)
-                blocks.append(np.hstack([col, sub]))
-        out = np.vstack(blocks) if blocks else np.empty((0, p), dtype=np.int16)
-        memo[key] = out
-        return out
-
-    for a in range(min(total, cap) + 1):
-        for b in range(min(total - a, cap) + 1):
-            sub = rec(total - a - b, parts - 2)
-            if len(sub):
-                block = np.empty((len(sub), parts), dtype=np.int16)
-                block[:, 0], block[:, 1], block[:, 2:] = a, b, sub
-                yield block
+    With local index parity: E and O are the sums of the even- and odd-index
+    entries, Q_eo sums r_j r_k over even j < odd k and Q_oe over odd j < even
+    k, and S is the triple sum of :func:`splitsim.series.s_value`. Prepending
+    v flips every parity, so each block of the table follows from the
+    sub-table of ``total - v`` in O(1) per vector. Sub-tables are read from
+    and stored in ``memo``; this table itself is not stored.
+    """
+    if parts == 1:  # the vector (total), if it fits
+        table = np.zeros((5, 1 if total <= cap else 0), dtype=np.int64)
+        table[1] = total
+        return table
+    subs = []
+    for v in range(min(total, cap) + 1):
+        key = (total - v, parts - 1)
+        if key not in memo:
+            memo[key] = _suffix_table(*key, cap, memo)
+        subs.append(memo[key])
+    table = np.empty((5, sum(sub.shape[1] for sub in subs)), dtype=np.int64)
+    start = 0
+    for v, (s, e, o, q_eo, q_oe) in enumerate(subs):
+        stop = start + len(s)
+        table[:, start:stop] = (s + v * q_eo, o + v, e, v * e + q_oe, q_eo)
+        start = stop
+    return table
 
 
-def _pair_move_max(x: np.ndarray, i: int, j: int, lo: float, hi: float) -> tuple[float, float]:
-    """Maximize S(x + d*e_i - d*e_j) over d in [lo, hi].
+def _grid_argmax(total: int, n: int, cap: int) -> tuple[int, list[int]]:
+    """Largest S over int vectors of length ``n`` >= 3 with entries in [0, cap]
+    summing to ``total``, and the lexicographically smallest vector reaching it.
+
+    A vector is (a, b, r) with r holding indices 2..n-1 at their global
+    parity, so S = S(r) + a*b*E(r) + a*Q_oe(r) + b*Q_eo(r), exact in int64.
+    The suffix table of each total t is built once, serves every leading pair
+    with a + b = total - t and is dropped before the next one is built.
+    """
+    memo: dict = {}
+
+    def candidates(t: int):
+        """(-S, a, b, column, t) of the first maximizer for each leading pair."""
+        s, e, _, q_eo, q_oe = _suffix_table(t, n - 2, cap, memo)
+        for a in range(min(total - t, cap) + 1):
+            b = total - t - a
+            if b <= cap:
+                vals = e * (a * b)
+                vals += s
+                vals += a * q_oe
+                vals += b * q_eo
+                i = int(np.argmax(vals))
+                yield -int(vals[i]), a, b, i, t
+
+    # Every t in range leaves at least one leading pair and one suffix.
+    suffix_totals = range(max(total - 2 * cap, 0), min(total, (n - 2) * cap) + 1)
+    neg_s, a, b, i, t = min(cand for t in suffix_totals for cand in candidates(t))
+    # Unrank column i of the lexicographic table of (t, n - 2).
+    row = [a, b]
+    for parts in range(n - 2, 1, -1):
+        v = 0
+        while i >= (size := _composition_count(t - v, parts - 1, cap)):
+            i -= size
+            v += 1
+        row.append(v)
+        t -= v
+    row.append(t)
+    return -neg_s, row
+
+
+def _pair_move_max(
+    x: list | np.ndarray, i: int, j: int, lo: float, hi: float
+) -> tuple[float, float]:
+    """Maximize S(x + d*e_i - d*e_j) over d in [lo, hi]; ``x`` is a list of
+    floats or a 1-D array.
 
     Every triple holds x_i and x_j at most once each, so S along the pair move
     is a quadratic in d, and the parabola through the values at lo, the
@@ -127,8 +167,12 @@ def _pair_move_max(x: np.ndarray, i: int, j: int, lo: float, hi: float) -> tuple
 
 
 def _polish(x0: Sequence[float]) -> tuple[np.ndarray, float]:
-    """Coordinate ascent over coordinate pairs on the sum-constrained slice."""
-    x = np.asarray(x0, dtype=float).copy()
+    """Coordinate ascent over coordinate pairs on the sum-constrained slice.
+
+    Works on a list of Python floats, which :func:`splitsim.series.s_value`
+    evaluates without numpy; the arithmetic is the same as on an array.
+    """
+    x = np.asarray(x0, dtype=float).tolist()
     n = len(x)
     best = s_value(x)
     while True:
@@ -146,7 +190,7 @@ def _polish(x0: Sequence[float]) -> tuple[np.ndarray, float]:
                     x[j] -= d
                     best = v
         if sweep_gain < POLISH_IMPROVEMENT_TOL:
-            return x, best
+            return np.array(x), best
 
 
 def lemma2_max(n: int, grid_steps: int | None = None) -> Lemma2Result:
@@ -154,13 +198,14 @@ def lemma2_max(n: int, grid_steps: int | None = None) -> Lemma2Result:
 
     For n <= 9 the feasible set is enumerated on a grid of resolution
     2/grid_steps (defaults: 40 for n <= 6, 20 for n in 7..9), scored in exact
-    integer counts block by block, and the best cell is polished by coordinate
-    ascent; ties break toward the lexicographically smallest grid point. A
-    grid of more than ``LEMMA2_GRID_MAX_ROWS`` points is rejected before it
-    is built. Larger n takes no grid: it polishes several seeded starting
-    points instead. The maximum always lands strictly below 1/3; at odd n the
-    maximizer is the uniform point x_i = 2/n. The polish costs about n**3,
-    so n above ``LEMMA2_MAX_N`` is rejected before any work.
+    integer counts from per-suffix statistics (:func:`_grid_argmax`), and the
+    best cell is polished by coordinate ascent; ties break toward the
+    lexicographically smallest grid point. A grid of more than
+    ``LEMMA2_GRID_MAX_ROWS`` points is rejected before it is scanned. Larger n
+    takes no grid: it polishes several seeded starting points instead. The
+    maximum always lands strictly below 1/3; at odd n the maximizer is the
+    uniform point x_i = 2/n. The polish costs about n**3, so n above
+    ``LEMMA2_MAX_N`` is rejected before any work.
     """
     if n < 3:
         raise ValueError(f"need at least 3 coordinates, got {n}")
@@ -204,14 +249,9 @@ def lemma2_max(n: int, grid_steps: int | None = None) -> Lemma2Result:
             f"{LEMMA2_GRID_MAX_ROWS}; choose a coarser grid"
         )
     # S of the counts is an exact integer (h**3 times S of the point), so ties
-    # are exact and argmax keeps the lexicographically smallest grid point.
-    best_v, best_row = -1, None
-    for block in _composition_blocks(grid_steps, n, cap):
-        vals = s_value(block)
-        i = int(np.argmax(vals))
-        if vals[i] > best_v:
-            best_v, best_row = vals[i], block[i]
-    x, v = _polish(best_row * h)
+    # are exact and the lexicographically smallest grid point wins.
+    _, best_row = _grid_argmax(grid_steps, n, cap)
+    x, v = _polish([c * h for c in best_row])
     return Lemma2Result(
         n=n, max_s=v, argmax=tuple(x), method="grid", grid_steps=grid_steps
     )

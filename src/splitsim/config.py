@@ -53,5 +53,5 @@ SUPPORTED_MAX_PANEL = 1024
 LEMMA2_GRID_MAX_ROWS = 4_000_000
 
 # Largest Lemma-2 coordinate count; the refined-local polish costs about n**3
-# and takes about 13 s at n=32 on a 2-core machine.
+# and takes about 7.5 s at n=32 (one Python thread on a 2-vCPU VM).
 LEMMA2_MAX_N = 32

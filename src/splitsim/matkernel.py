@@ -18,13 +18,16 @@ Cost notes, none of which changes a value:
 * a Hermiticity check first bounds ``||m - m^dagger||`` by its Frobenius norm
   and passes with no SVD when that is at most half the tolerance; otherwise
   it falls back to the exact spectral deviation, so accept/reject decisions
-  and error messages are those of the exact check. :func:`hermitian_deviation`
+  and error messages are those of the exact check. A non-finite entry is
+  rejected as an infinite deviation before any SVD. :func:`hermitian_deviation`
   stays public as that exact value.
 
 All functions are pure and never mutate their arguments.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -67,12 +70,16 @@ def _hermitian_violation(m: np.ndarray, atol: float) -> float | None:
 
     ``vdot(D, D)`` is ``||D||_F**2`` for D = m - m^dagger, and the spectral
     norm never exceeds the Frobenius norm, so ``||D||_F <= atol / 2`` passes
-    without an SVD; the factor 2 absorbs rounding in both norms. Anything
-    else, NaN included, gets the exact deviation.
+    without an SVD; the factor 2 absorbs rounding in both norms. A matrix
+    with an infinite or NaN entry never passes that bound and counts as an
+    infinite deviation, before any SVD (LAPACK rejects such input). Anything
+    else gets the exact deviation.
     """
     d = m - m.conj().T
     if np.vdot(d, d).real <= 0.25 * atol * atol:
         return None
+    if not np.isfinite(m).all():
+        return math.inf
     dev = hermitian_deviation(m)
     return dev if dev > atol else None
 

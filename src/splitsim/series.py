@@ -14,6 +14,9 @@ order.
 
 from __future__ import annotations
 
+import cmath
+import functools
+import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
@@ -78,16 +81,14 @@ def exp_step_series(k: int, tau: float, m: int) -> TruncatedSeries:
     """
     if not 1 <= k <= m:
         raise ValueError(f"symbol {k} outside 1..{m}")
-    tau = float(tau)
     return TruncatedSeries(
-        m=m,
-        coeffs={
-            (): 1.0 + 0j,
-            (k,): -1j * tau,
-            (k, k): -0.5 * tau**2,
-            (k, k, k): 1j * tau**3 / 6.0,
-        },
+        m=m, coeffs=dict(zip(((), (k,), (k, k), (k, k, k)), _step_coeffs(float(tau))))
     )
+
+
+def _step_coeffs(tau: float) -> tuple[complex, complex, complex, complex]:
+    """Coefficients of 1, k, kk and kkk in exp(-i H_k tau)."""
+    return 1.0 + 0j, complex(-1j * tau), complex(-0.5 * tau**2), complex(1j * tau**3 / 6.0)
 
 
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -107,19 +108,84 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(m=a.m, coeffs=out)
 
 
+@functools.lru_cache(maxsize=8)
+def _suffix_plans(u: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple, ...]]:
+    """Words over symbols 0..u-1 in (length, lexicographic) order, and the
+    rewrite plan of each symbol.
+
+    The plan of symbol k lists every word ending in k, with the prefixes
+    whose removed suffix is a power k**r, shortest prefix first:
+    (position of the word, ((position of the prefix, r), ...)).
+    """
+    words = tuple(w for n in range(MAX_DEGREE + 1) for w in itertools.product(range(u), repeat=n))
+    pos = {w: q for q, w in enumerate(words)}
+    plans: list[list] = [[] for _ in range(u)]
+    for q, w in enumerate(words[1:], start=1):
+        k, cut = w[-1], len(w) - 1
+        while cut and w[cut - 1] == k:  # w[cut:] is the longest suffix k**r
+            cut -= 1
+        plans[k].append((q, tuple((pos[w[:c]], len(w) - c) for c in range(cut, len(w) + 1))))
+    return words, tuple(tuple(p) for p in plans)
+
+
 def word_series(w: Word, m: int) -> TruncatedSeries:
     """Expansion of a word's unitary, factors multiplied in operator order.
 
     The first step of the word is the leftmost factor, matching
     :func:`splitsim.schedules.word_unitary`, so for the two-step word
     ((1, t), (2, t)) the coefficient of (1, 2) is -t**2 and (2, 1) gets 0.
+
+    Equal, coefficient for coefficient and bit for bit, to folding
+    :func:`series_mul` with :func:`exp_step_series` over the steps, at O(u**2)
+    per step for the u distinct symbols of the word. That fold adds the
+    contributions to a word in the order of the left factor's words, which is
+    prefix order, so the dense form rebuilds each word ending in the step's
+    symbol k as ``0j`` plus old[prefix] times the step coefficient of k**r,
+    shortest prefix first. It skips a prefix that is absent or nonempty with
+    value exactly 0, as the fold does. A word that does not end in k keeps its
+    value, since ``0j + c * (1 + 0j) == c`` for the finite values the fold
+    stores; the exceptions (exact zeros, which the next step drops, and
+    non-finite values) are tracked and stepped explicitly. Words over symbols
+    the word never uses stay absent, and the coefficients come in (length,
+    lexicographic) order.
     """
     if w.max_index() > m:
         raise ValueError(f"word references symbol {w.max_index()} but m={m}")
-    s = identity_series(m)
+    alphabet = sorted({k for k, _ in w.steps})
+    index = {k: i for i, k in enumerate(alphabet)}
+    words, plans = _suffix_plans(len(alphabet))
+    c: list[complex | None] = [None] * len(words)  # None: the word is absent
+    c[0] = 1.0 + 0j
+    unsettled: list[int] = []  # positions holding 0 or a non-finite value
     for k, tau in w.steps:
-        s = series_mul(s, exp_step_series(k, tau, m))
-    return s
+        e = _step_coeffs(tau)
+        k = index[k]
+        new = []
+        for q, prefixes in plans[k]:
+            acc = None
+            for p, r in prefixes:
+                a = c[p]
+                if a is None or (p and a == 0):
+                    continue
+                acc = 0j + a * e[r] if acc is None else acc + a * e[r]
+            new.append((q, acc))
+        keep = []
+        for q in unsettled:
+            if words[q][-1] != k:
+                if c[q] == 0:
+                    c[q] = None
+                else:
+                    c[q] = 0j + c[q] * e[0]
+                    keep.append(q)
+        for q, v in new:
+            c[q] = v
+            if v is not None and not (v and cmath.isfinite(v)):
+                keep.append(q)
+        unsettled = keep
+    return TruncatedSeries(
+        m=m,
+        coeffs={tuple(alphabet[i] for i in wd): v for wd, v in zip(words, c) if v is not None},
+    )
 
 
 def exact_series(m: int, t: float) -> TruncatedSeries:
@@ -258,8 +324,12 @@ def s_value(x: Sequence[float] | np.ndarray) -> float | np.ndarray:
     it with every one after it, so S = sum_j x_j P_j (T_j - P_j), where P_j is
     the running sum of the opposite parity before j and T_j is that parity's
     total. A 1-D point gives a float. A 2-D array gives one S per row, summed
-    exactly (int64) when the rows are integers.
+    exactly (int64) when the rows are integers. A list of Python numbers is
+    read as it is, with no array made: the Lemma-2 polish evaluates S tens of
+    thousands of times on lists, with the same arithmetic as the array path.
     """
+    if type(x) is list:
+        return _s_point(x)
     arr = np.asarray(x)
     if arr.ndim == 2:
         acc = np.result_type(arr.dtype, np.int64)
@@ -279,6 +349,22 @@ def s_value(x: Sequence[float] | np.ndarray) -> float | np.ndarray:
         out = out + v * running[q] * (totals[q] - running[q])
         running[p] = running[p] + v
     return out if arr.ndim == 2 else float(out)
+
+
+def _s_point(x: list) -> float:
+    """:func:`s_value` of a list, walking its entries two at a time (even, then
+    odd): the same IEEE operations in the same order as the array path."""
+    even, odd = x[0::2], x[1::2]
+    total_e, total_o = sum(even), sum(odd)
+    out = run_e = run_o = 0
+    for ve, vo in zip(even, odd):
+        out = out + ve * run_o * (total_o - run_o)
+        run_e = run_e + ve
+        out = out + vo * run_e * (total_e - run_e)
+        run_o = run_o + vo
+    if len(even) > len(odd):
+        out = out + even[-1] * run_o * (total_o - run_o)
+    return float(out)
 
 
 def series_to_json(s: TruncatedSeries) -> dict:

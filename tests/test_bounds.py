@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitsim.bounds import (
-    _composition_blocks,
     _composition_count,
+    _grid_argmax,
     audit_schedule,
     lemma2_max,
     lemma2_uniform_value,
@@ -156,17 +156,67 @@ class TestAuditSchedule:
         assert audit.gap > 0
 
 
+def _composition_blocks(total: int, parts: int, cap: int):
+    """The former grid enumeration, kept here as the reference scan.
+
+    All int vectors of length ``parts`` >= 3 with entries in [0, cap] summing
+    to ``total``, in lexicographic order, yielded as int16 blocks: one block
+    per leading pair of entries, the tables of the remaining entries memoised.
+    """
+    memo: dict[tuple[int, int], np.ndarray] = {}
+
+    def rec(tot: int, p: int) -> np.ndarray:
+        if p == 1:
+            if 0 <= tot <= cap:
+                return np.array([[tot]], dtype=np.int16)
+            return np.empty((0, 1), dtype=np.int16)
+        key = (tot, p)
+        if key in memo:
+            return memo[key]
+        blocks = []
+        for v in range(min(tot, cap) + 1):
+            sub = rec(tot - v, p - 1)
+            if len(sub):
+                col = np.full((len(sub), 1), v, dtype=np.int16)
+                blocks.append(np.hstack([col, sub]))
+        out = np.vstack(blocks) if blocks else np.empty((0, p), dtype=np.int16)
+        memo[key] = out
+        return out
+
+    for a in range(min(total, cap) + 1):
+        for b in range(min(total - a, cap) + 1):
+            sub = rec(total - a - b, parts - 2)
+            if len(sub):
+                block = np.empty((len(sub), parts), dtype=np.int16)
+                block[:, 0], block[:, 1], block[:, 2:] = a, b, sub
+                yield block
+
+
+def _block_scan(total: int, parts: int, cap: int) -> tuple[int, list[int]]:
+    """The former Lemma-2 grid scan: exact S of every block, first maximizer."""
+    best_v, best_row = -1, None
+    for block in _composition_blocks(total, parts, cap):
+        vals = s_value(block)
+        i = int(np.argmax(vals))
+        if vals[i] > best_v:
+            best_v, best_row = int(vals[i]), [int(c) for c in block[i]]
+    return best_v, best_row
+
+
 class TestGridEnumeration:
-    """The streamed Lemma-2 grid against a brute-force product enumeration."""
+    """The Lemma-2 grid count and scan against a brute-force product enumeration."""
 
     @pytest.mark.parametrize("total, parts", [(6, 3), (8, 4), (10, 5), (7, 6)])
-    def test_blocks_are_every_composition_in_lexicographic_order(self, total, parts):
+    def test_count_and_scan_cover_every_composition(self, total, parts):
         cap = total // 2
         brute = [c for c in itertools.product(range(cap + 1), repeat=parts) if sum(c) == total]
-        blocks = list(_composition_blocks(total, parts, cap))
-        assert all(b.dtype == np.int16 for b in blocks)
-        assert [tuple(int(v) for v in row) for row in np.vstack(blocks)] == brute
         assert _composition_count(total, parts, cap) == len(brute)
+        values = s_value(np.array(brute, dtype=np.int64)).tolist()
+        best = max(values)
+        assert _grid_argmax(total, parts, cap) == (best, list(brute[values.index(best)]))
+
+    def test_scan_matches_the_block_scan_on_the_default_n9_grid(self):
+        assert _grid_argmax(20, 9, 10) == _block_scan(20, 9, 10)
 
     def test_default_n9_grid_is_under_the_cap(self):
         assert _composition_count(20, 9, 10) == 2_889_315 <= LEMMA2_GRID_MAX_ROWS

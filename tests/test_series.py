@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -130,6 +132,65 @@ class TestWordSeries:
                 spectral_norm(series_to_matrix(s, ts.terms) - word_unitary(ts, w))
             )
         assert abs(resid[0] / resid[1] - 16.0) <= 0.3 * 16.0
+
+
+def series_mul_fold(w, m):
+    """The word series as the plain product of step series, step by step."""
+    s = identity_series(m)
+    for k, tau in w.steps:
+        s = series_mul(s, exp_step_series(k, tau, m))
+    return s
+
+
+def bits(s):
+    return {word: (repr(c.real), repr(c.imag)) for word, c in s.coeffs.items()}
+
+
+class TestDenseWordSeries:
+    """word_series against the series_mul fold, bit for bit and key for key."""
+
+    def test_random_words_match_the_fold(self):
+        rng = random.Random(2024)
+        checked = 0
+        for _ in range(4000):
+            m = rng.randint(1, 5)
+            top = rng.randint(1, m)  # m above the word's largest index half the time
+            # tau**2 and tau**3 underflow at the small scales; at 2e102 sums of
+            # degree-3 products overflow to inf and nan.
+            scale = rng.choice([1.0, 1.0, 1e-110, 1e-160, 1e-300, 2e102])
+            steps = tuple(
+                (rng.randint(1, top), scale * rng.uniform(0.01, 2.0))
+                for _ in range(rng.randint(0, 9))
+            )
+            w = Word(steps)
+            assert bits(word_series(w, m)) == bits(series_mul_fold(w, m))
+            checked += 1
+        assert checked == 4000
+
+    @pytest.mark.parametrize("m", [3, 5])
+    def test_long_alg2_word_matches_the_fold(self, m):
+        rng = random.Random(m)
+        steps = []
+        for _ in range(300):
+            order = [1, 2, 3]
+            rng.shuffle(order)
+            steps += [(k, 1.0 / 300) for k in order]
+        w = Word(tuple(steps))
+        assert bits(word_series(w, m)) == bits(series_mul_fold(w, m))
+
+    def test_exact_zeros_and_overflow_follow_the_fold(self):
+        # 5e-324 squared is an exact 0, which the fold drops one step later.
+        # 5e102 cubed is finite, but sums of such products overflow; the fold
+        # then turns an untouched inf into nan on every later step.
+        for steps in (
+            ((1, 5e-324), (2, 1.0), (1, 5e-324), (3, 0.5)),
+            ((1, 5e102), (1, 5e102), (2, 5e102), (2, 5e102), (3, 1.0), (1, 1.0), (3, 2.0)),
+            ((1, 5e102), (2, 5e102), (1, 5e102), (2, 5e102), (3, 1.0), (3, 1.0)),
+        ):
+            w = Word(steps)
+            assert bits(word_series(w, 3)) == bits(series_mul_fold(w, 3))
+        with pytest.raises(OverflowError):
+            word_series(Word(((1, 1e110),)), 2)
 
 
 class TestExactSeries:

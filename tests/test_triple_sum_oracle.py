@@ -10,7 +10,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitsim.bounds import _pair_move_max, _polish, lemma2_max
+import pytest
+
+from splitsim.bounds import _grid_argmax, _pair_move_max, _polish, lemma2_max
 from splitsim.series import s_value
 
 THIRD = 1.0 / 3.0
@@ -61,6 +63,16 @@ class TestSValue:
             assert got.tolist() == [brute_s(row) for row in rows.tolist()]
 
 
+    def test_list_path_gives_the_array_path_bits(self):
+        rng = np.random.default_rng(5)
+        for n in range(13):
+            for _ in range(20):
+                x = rng.uniform(0.0, 1.0, size=n)
+                assert s_value(x.tolist()) == s_value(x)
+            ints = rng.integers(0, 1000, size=n)
+            assert s_value(ints.tolist()) == s_value(ints)
+
+
 class TestPairMove:
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -79,9 +91,23 @@ class TestPairMove:
             return brute_s(y.tolist())
 
         d, v = _pair_move_max(x, i, j, lo, hi)
+        assert _pair_move_max(x.tolist(), i, j, lo, hi) == (d, v)
         assert lo <= d <= hi
         assert abs(v - oracle_along(d)) <= 1e-12
         assert v >= max(oracle_along(s) for s in np.linspace(lo, hi, 201)) - 1e-15
+
+
+class TestGridScan:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("steps", [2, 3, 4, 6, 7])
+    def test_suffix_statistics_scan_matches_brute_force(self, n, steps):
+        # Same integer maximum and the same (first, lexicographic) grid point
+        # as scoring every product-enumerated point with the plain triple loop.
+        cap = steps // 2
+        grid = [c for c in itertools.product(range(cap + 1), repeat=n) if sum(c) == steps]
+        values = [brute_s(c) for c in grid]
+        best = max(values)
+        assert _grid_argmax(steps, n, cap) == (best, list(grid[values.index(best)]))
 
 
 class TestLemma2Max:
