@@ -137,7 +137,9 @@ def word_series(w: Word, m: int) -> TruncatedSeries:
 
     Equal, coefficient for coefficient and bit for bit, to folding
     :func:`series_mul` with :func:`exp_step_series` over the steps, at O(u**2)
-    per step for the u distinct symbols of the word. That fold adds the
+    per step for the u distinct symbols of the word. Only the key order
+    differs: the fold inserts words in the order its products first reach
+    them, while this form lists them in (length, lexicographic) order. That fold adds the
     contributions to a word in the order of the left factor's words, which is
     prefix order, so the dense form rebuilds each word ending in the step's
     symbol k as ``0j`` plus old[prefix] times the step coefficient of k**r,
@@ -146,8 +148,7 @@ def word_series(w: Word, m: int) -> TruncatedSeries:
     value, since ``0j + c * (1 + 0j) == c`` for the finite values the fold
     stores; the exceptions (exact zeros, which the next step drops, and
     non-finite values) are tracked and stepped explicitly. Words over symbols
-    the word never uses stay absent, and the coefficients come in (length,
-    lexicographic) order.
+    the word never uses stay absent.
     """
     if w.max_index() > m:
         raise ValueError(f"word references symbol {w.max_index()} but m={m}")
@@ -313,7 +314,7 @@ def interleaving_profile(w: Word, a: int, b: int) -> InterleavingProfile:
     return InterleavingProfile(pair=(lead, other), x=x, total=float(sum(x)))
 
 
-def s_value(x: Sequence[float] | np.ndarray) -> float | np.ndarray:
+def s_value(x: Sequence[float] | np.ndarray) -> float:
     """Sum of x_i x_j x_k over triples i<j<k with k-i even and j-i odd.
 
     On an alternating block profile this is exactly the combined aba + bab
@@ -323,37 +324,17 @@ def s_value(x: Sequence[float] | np.ndarray) -> float | np.ndarray:
     One pass over the middle index: j pairs every opposite-parity entry before
     it with every one after it, so S = sum_j x_j P_j (T_j - P_j), where P_j is
     the running sum of the opposite parity before j and T_j is that parity's
-    total. A 1-D point gives a float. A 2-D array gives one S per row, summed
-    exactly (int64) when the rows are integers. A list of Python numbers is
-    read as it is, with no array made: the Lemma-2 polish evaluates S tens of
-    thousands of times on lists, with the same arithmetic as the array path.
+    total. The entries are walked two at a time (even, then odd) as Python
+    numbers, so integer points are summed exactly. A list is read as it is,
+    with no array made: the Lemma-2 polish evaluates S tens of thousands of
+    times on lists.
     """
-    if type(x) is list:
-        return _s_point(x)
-    arr = np.asarray(x)
-    if arr.ndim == 2:
-        acc = np.result_type(arr.dtype, np.int64)
-        cols = arr.T
-        totals = [cols[q::2].sum(axis=0, dtype=acc) for q in (0, 1)]
-        out = np.zeros(len(arr), dtype=acc)
-    elif arr.ndim == 1:
+    if type(x) is not list:
+        arr = np.asarray(x)
+        if arr.ndim != 1:
+            raise ValueError(f"expected a 1-D point, got {arr.ndim} dimensions")
         # Python scalars: the same loop over numpy scalars is several times slower.
-        cols = arr.tolist()
-        totals = [sum(cols[0::2]), sum(cols[1::2])]
-        out = 0
-    else:
-        raise ValueError(f"expected a point or a 2-D array of rows, got {arr.ndim} dimensions")
-    running = [0, 0]
-    for j, v in enumerate(cols):
-        p, q = j % 2, 1 - j % 2
-        out = out + v * running[q] * (totals[q] - running[q])
-        running[p] = running[p] + v
-    return out if arr.ndim == 2 else float(out)
-
-
-def _s_point(x: list) -> float:
-    """:func:`s_value` of a list, walking its entries two at a time (even, then
-    odd): the same IEEE operations in the same order as the array path."""
+        x = arr.tolist()
     even, odd = x[0::2], x[1::2]
     total_e, total_o = sum(even), sum(odd)
     out = run_e = run_o = 0

@@ -2,11 +2,10 @@
 
 ``data/lemma2_golden.json`` holds ``lemma2_max(n, grid_steps).to_json()`` for
 n = 3..12 at the default grid, n = 3..9 on the grids 2, 3, 4, 6, 7, 10 and 12,
-(5, 40) and (6, 30), and ``series_to_json(word_series(...))`` of the
-benchmark's 600-step ``expand`` word at seeds 1-3, all recorded from the
-array-based grid scan, polish and dict-backed series that the current code
-replaced. Every float must come back exactly; this path uses no BLAS, so the
-values do not depend on the machine's linear-algebra library.
+(5, 40) and (6, 30), all recorded from the array-based grid scan and polish
+that the current code replaced. Every float must come back exactly; this path
+uses no BLAS, so the values do not depend on the machine's linear-algebra
+library.
 """
 
 import json
@@ -15,8 +14,6 @@ from pathlib import Path
 import pytest
 
 from splitsim.bounds import lemma2_max
-from splitsim.schedules import word_from_json
-from splitsim.series import series_to_json, word_series
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "lemma2_golden.json").read_text())
 
@@ -31,8 +28,3 @@ def _roundtrip(doc):
 def test_lemma2_max_is_unchanged(case):
     assert _roundtrip(lemma2_max(case["n"], case["grid_steps"]).to_json()) == case["result"]
 
-
-@pytest.mark.parametrize("case", GOLDEN["word_series"], ids=lambda c: f"seed{c['seed']}")
-def test_expand_word_series_is_unchanged(case):
-    word = word_from_json({"steps": case["steps"]})
-    assert _roundtrip(series_to_json(word_series(word, case["m"]))) == case["series"]

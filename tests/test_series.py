@@ -167,14 +167,20 @@ class TestDenseWordSeries:
             checked += 1
         assert checked == 4000
 
-    @pytest.mark.parametrize("m", [3, 5])
-    def test_long_alg2_word_matches_the_fold(self, m):
-        rng = random.Random(m)
+    @pytest.mark.parametrize(
+        "rng_seed, stages, m",
+        [(3, 300, 3), (5, 300, 5)]
+        # The benchmark's lemma2-obstruction expand word at seeds 1-3.
+        + [(f"splitsim-bench:lemma2-obstruction:{seed}", 200, 3) for seed in (1, 2, 3)],
+    )
+    def test_long_alg2_word_matches_the_fold(self, rng_seed, stages, m):
+        # Each stage applies terms 1-3 once, for 1/stages, in a random order.
+        rng = random.Random(rng_seed)
         steps = []
-        for _ in range(300):
+        for _ in range(stages):
             order = [1, 2, 3]
             rng.shuffle(order)
-            steps += [(k, 1.0 / 300) for k in order]
+            steps += [(k, 1.0 / stages) for k in order]
         w = Word(tuple(steps))
         assert bits(word_series(w, m)) == bits(series_mul_fold(w, m))
 

@@ -48,20 +48,16 @@ class TestSValue:
     def test_float_rows_match_oracle(self):
         rng = np.random.default_rng(3)
         for n in range(13):
-            rows = rng.uniform(0.0, 1.0, size=(20, n))
-            got = s_value(rows)
-            assert got.shape == (20,)
-            for row, v in zip(rows, got):
-                assert abs(v - brute_s(row.tolist())) <= 1e-12
+            for row in rng.uniform(0.0, 1.0, size=(20, n)):
+                got = s_value(row)
+                assert isinstance(got, float)
+                assert abs(got - brute_s(row.tolist())) <= 1e-12
 
     def test_integer_rows_are_exact(self):
         rng = np.random.default_rng(4)
         for n in range(13):
-            rows = rng.integers(0, 1000, size=(20, n), dtype=np.int64)
-            got = s_value(rows)
-            assert got.dtype == np.int64
-            assert got.tolist() == [brute_s(row) for row in rows.tolist()]
-
+            for row in rng.integers(0, 1000, size=(20, n), dtype=np.int64):
+                assert s_value(row) == brute_s(row.tolist())
 
     def test_list_path_gives_the_array_path_bits(self):
         rng = np.random.default_rng(5)
@@ -71,6 +67,12 @@ class TestSValue:
                 assert s_value(x.tolist()) == s_value(x)
             ints = rng.integers(0, 1000, size=n)
             assert s_value(ints.tolist()) == s_value(ints)
+
+    def test_only_points_are_accepted(self):
+        with pytest.raises(ValueError, match="1-D point"):
+            s_value(np.ones((2, 3)))
+        with pytest.raises(ValueError, match="1-D point"):
+            s_value(1.0)
 
 
 class TestPairMove:
@@ -97,10 +99,14 @@ class TestPairMove:
         assert v >= max(oracle_along(s) for s in np.linspace(lo, hi, 201)) - 1e-15
 
 
+# Every (steps, n) with n = 3..7 on the grids 2, 3, 4, 6 and 7, plus two
+# larger grids.
+GRID_CASES = [(steps, n) for n in range(3, 8) for steps in (2, 3, 4, 6, 7)] + [(8, 4), (10, 5)]
+
+
 class TestGridScan:
-    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
-    @pytest.mark.parametrize("steps", [2, 3, 4, 6, 7])
-    def test_suffix_statistics_scan_matches_brute_force(self, n, steps):
+    @pytest.mark.parametrize("steps, n", GRID_CASES)
+    def test_suffix_statistics_scan_matches_brute_force(self, steps, n):
         # Same integer maximum and the same (first, lexicographic) grid point
         # as scoring every product-enumerated point with the plain triple loop.
         cap = steps // 2
