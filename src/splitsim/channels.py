@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -178,6 +179,18 @@ def _evolve_direct(probs: np.ndarray, us: np.ndarray, stages: int, rhos: np.ndar
     return r.reshape(d, n, d).transpose(1, 0, 2).copy()
 
 
+@lru_cache(maxsize=None)
+def _basis_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (a, b) of the Hermitian basis, read-only: the diagonal
+    ``first[:d] == second[:d] == arange(d)``, then ``triu_indices(d, 1)``."""
+    iu, ju = np.triu_indices(d, 1)
+    first = np.concatenate([np.arange(d), iu])
+    second = np.concatenate([np.arange(d), ju])
+    first.setflags(write=False)
+    second.setflags(write=False)
+    return first, second
+
+
 def _liouville_matrix(probs: np.ndarray, us: np.ndarray) -> np.ndarray:
     """Real matrix of the stage in the Hermitian basis of :func:`_to_coords`.
 
@@ -188,9 +201,7 @@ def _liouville_matrix(probs: np.ndarray, us: np.ndarray) -> np.ndarray:
     n_words, d, _ = us.shape
     x = np.sqrt(probs)[:, None] * us.reshape(n_words, d * d)
     g = (x.T @ x.conj()).reshape(d, d, d, d)  # g[a, c, b, e]
-    iu, ju = np.triu_indices(d, 1)
-    first = np.concatenate([np.arange(d), iu])  # index pairs: diagonal, then a < b
-    second = np.concatenate([np.arange(d), ju])
+    first, second = _basis_pairs(d)
     a, b = first[:, None], second[:, None]  # output entry (a, b)
     c, e = first[None, :], second[None, :]  # input matrix unit E_ce
     f, f_swap = g[a, c, b, e], g[a, e, b, c]  # Phi(E_ce), Phi(E_ec) at (a, b)
@@ -209,19 +220,21 @@ def _to_coords(rhos: np.ndarray) -> np.ndarray:
     sqrt2 Re rho_ab and sqrt2 Im rho_ab.
     """
     d = rhos.shape[1]
-    iu, ju = np.triu_indices(d, 1)
+    first, second = _basis_pairs(d)
+    iu, ju = first[d:], second[d:]
     upper = _SQRT2 * rhos[:, iu, ju]
-    diag = rhos[:, np.arange(d), np.arange(d)].real
+    diag = rhos[:, first[:d], first[:d]].real
     return np.concatenate([diag, upper.real, upper.imag], axis=1).T
 
 
 def _from_coords(coords: np.ndarray, d: int) -> np.ndarray:
     """Inverse of :func:`_to_coords`; the output is exactly Hermitian."""
     n = coords.shape[1]
-    iu, ju = np.triu_indices(d, 1)
+    first, second = _basis_pairs(d)
+    iu, ju = first[d:], second[d:]
     n_upper = len(iu)
     out = np.zeros((n, d, d), dtype=complex)
-    out[:, np.arange(d), np.arange(d)] = coords[:d].T
+    out[:, first[:d], first[:d]] = coords[:d].T
     upper = (coords[d : d + n_upper] + 1j * coords[d + n_upper :]).T / _SQRT2
     out[:, iu, ju] = upper
     out[:, ju, iu] = upper.conj()

@@ -3,6 +3,7 @@ import pytest
 
 from splitsim.channels import (
     Superoperator,
+    _basis_pairs,
     _evolve_direct,
     _evolve_liouville,
     _propagation_path,
@@ -300,6 +301,15 @@ class TestEvolveStates:
             for path in (_evolve_direct, _evolve_liouville):
                 got = path(probs, us, stages, rhos)
                 assert np.max(np.abs(got - oracle)) <= 1e-12, (path.__name__, stages)
+
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_basis_pairs_are_cached_read_only_index_maps(self, d):
+        first, second = _basis_pairs(d)
+        iu, ju = np.triu_indices(d, 1)
+        assert np.array_equal(first, np.concatenate([np.arange(d), iu]))
+        assert np.array_equal(second, np.concatenate([np.arange(d), ju]))
+        assert not first.flags.writeable and not second.flags.writeable
+        assert _basis_pairs(d)[0] is first
 
     def test_path_choice_is_a_flop_count(self):
         # a pure function of (d, words, states, stages): same answer every call

@@ -293,6 +293,14 @@ class TestScaling:
             ({"schemes": ["alg2"], "fixed_epsilon": 5}, "fixed_epsilon"),
             (["alg2"], "JSON object"),
             ({"schemes": ["alg2", "bogus"]}, "unknown scheme(s) ['bogus']"),
+            (
+                {"schemes": ["strang"], "eps_values": [1e-3, 1e-3], "n_qubits": 2},
+                "eps_values must not repeat a value",
+            ),
+            (
+                {"schemes": ["strang"], "t_values": [1.0, 1.0, 1.0], "n_qubits": 2},
+                "t_values[strang] must not repeat a value",
+            ),
         ],
     )
     def test_rejected_config_exits_two(self, tmp_path, capsys, doc, message):

@@ -129,6 +129,16 @@ class TestSchemeEvaluator:
         assert np.max(np.abs(u_full - u_seg)) <= 1e-12
         assert ev.error(k) > 0
 
+    def test_randomized_probes_share_read_only_projectors(self):
+        ts = spin_chain_termset(2, 1.0, 1.0, 1.0)
+        panel = state_panel(4, 4, seed=3)
+        for scheme in ("alg1", "alg2"):
+            ev = SchemeEvaluator(ts, scheme, 1.0, panel)
+            first = ev.error(3)
+            assert not ev._panel_projectors.flags.writeable
+            assert not ev._target_projectors.flags.writeable
+            assert ev.error(3) == first
+
     def test_closed_form_matches_svd_distance(self):
         # deterministic panels use 2||b - <a|b>a||; check it against Tr|.|
         from splitsim.channels import exact_evolution
@@ -288,6 +298,17 @@ class TestScaling:
         cell = report.per_scheme["trotter"]
         assert cell["failures"]
         assert cell["exponent_t"] is None
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"eps_values": [1e-3, 1e-3]}, "eps_values"),
+            ({"t_values": [1.0, 1.0, 1.0]}, r"t_values\[strang\]"),
+        ],
+    )
+    def test_repeated_grid_value_rejected(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"{name} must not repeat a value"):
+            scaling_cross_check(schemes=("strang",), **kwargs)
 
     def test_default_grids_cover_all_schemes(self):
         assert set(DEFAULT_SCALING_T_GRID) == {"trotter", "strang", "alg1", "alg2"}
