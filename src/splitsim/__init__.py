@@ -68,6 +68,7 @@ from .bounds import (
 )
 from .harness import (
     RunConfig,
+    ScalingConfig,
     SweepResult,
     fit_loglog,
     lemma1_campaign,

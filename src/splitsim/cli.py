@@ -37,12 +37,7 @@ def _emit(doc: dict, out: str | None) -> None:
 
 def _cmd_simulate(args) -> int:
     cfg = harness.RunConfig.from_json(_load_json(args.config))
-    ts = cfg.build_termset()
-    panel = harness.state_panel(ts.dim, cfg.panel_size, cfg.seed)
-    ev = harness.SchemeEvaluator(ts, cfg.scheme, cfg.t, panel)
-    points = [
-        {"K": k, "N": ev.n_exponentials(k), "error": ev.error(k)} for k in cfg.k_list
-    ]
+    points = [{"K": k, "N": n, "error": e} for k, n, e in harness.k_list_errors(cfg)[1]]
     _emit(
         {"scheme": cfg.scheme, "t": cfg.t, "config": cfg.to_json(), "points": points},
         args.out or cfg.out,
@@ -112,40 +107,9 @@ def _cmd_expand(args) -> int:
     return EXIT_OK
 
 
-_SCALING_KEYS = frozenset({
-    "t_values", "eps_values", "schemes", "fixed_eps", "fixed_t", "n_qubits",
-    "couplings", "seed", "panel_size", "k_cap", "out",
-})
-
-
 def _cmd_scaling(args) -> int:
-    doc = _load_json(args.config)
-    if not isinstance(doc, dict):
-        raise ValueError("the scaling config must be a JSON object")
-    unknown = set(doc) - _SCALING_KEYS
-    if unknown:
-        raise ValueError(f"unknown scaling config keys: {sorted(unknown)}")
-    if not isinstance(doc.get("out"), (str, type(None))):
-        raise ValueError(f"out must be a path string or null, got {doc['out']!r}")
-    kwargs = {}
-    for key in ("fixed_eps", "fixed_t", "seed", "panel_size", "k_cap", "n_qubits"):
-        if key in doc:
-            kwargs[key] = doc[key]
-    if "couplings" in doc:
-        c = doc["couplings"]
-        if not isinstance(c, dict) or set(c) != {"jx", "jz", "hx"}:
-            raise ValueError(
-                f'couplings must be an object {{"jx": .., "jz": .., "hx": ..}}, got {c!r}'
-            )
-        kwargs["couplings"] = (c["jx"], c["jz"], c["hx"])
-    if "schemes" in doc:
-        kwargs["schemes"] = doc["schemes"]
-    report = harness.scaling_cross_check(
-        t_values=doc.get("t_values"),
-        eps_values=doc.get("eps_values", harness.DEFAULT_SCALING_EPS_GRID),
-        **kwargs,
-    )
-    _emit(report.to_json(), args.out or doc.get("out"))
+    cfg = harness.ScalingConfig.from_json(_load_json(args.config))
+    _emit(harness.scaling_cross_check(cfg).to_json(), args.out or cfg.out)
     return EXIT_OK
 
 

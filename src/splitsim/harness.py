@@ -14,13 +14,14 @@ Envelope: dim <= 64 (checked by :class:`RunConfig` before anything is
 allocated), alg2 m <= 6, bisections capped at 2**22 segments.
 
 Cost cross-checks find, per cell, the smallest K with panel error <= eps by
-doubling from K = 1 and then bisecting. An outcome "error(k) > eps" comes
-from the probe at k or from an earlier probe outside a relative band of
-1e-3 around eps, which certifies every smaller (above the band) or larger
-(below it) k; the error's measured wobble about a local power law is at
-most 3.6e-5, so this is the K a probe at every step finds. Each cell is
-then checked on probed values, error(K) <= eps < error(K - 1), and walked
-again with a probe at every step if the check fails.
+doubling from K = 1 and then bisecting. There is one evaluator and one probe
+log per (scheme, t), shared by every cell at that t, so no K is probed twice.
+An outcome "error(k) > eps" comes from the probe at k or from a logged probe
+outside a relative band of 1e-3 around eps, which certifies every smaller
+(above the band) or larger (below it) k; the error's measured wobble about a
+local power law is at most 3.6e-5, so this is the K a probe at every step
+finds. Each cell is then checked on probed values, error(K) <= eps <
+error(K - 1), and walked again with a probe at every step if the check fails.
 """
 
 from __future__ import annotations
@@ -60,10 +61,12 @@ __all__ = [
     "CampaignReport",
     "RunConfig",
     "SCHEMES",
+    "ScalingConfig",
     "ScalingReport",
     "SchemeEvaluator",
     "SweepResult",
     "fit_loglog",
+    "k_list_errors",
     "lemma1_campaign",
     "scaling_cross_check",
     "stable_json_dumps",
@@ -153,6 +156,16 @@ def _require_panel(panel_size) -> None:
         )
 
 
+def _config_from_json(cls, doc):
+    """``cls(**doc)`` for a JSON object whose keys all name fields of ``cls``."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a {cls.__name__} must be a JSON object, got {type(doc).__name__}")
+    unknown = set(doc) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    return cls(**doc)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """One experiment: a scheme, an instance, and a list of segment counts."""
@@ -206,15 +219,7 @@ class RunConfig:
             raise ValueError(f"k_list must be strictly increasing, got {ks}")
         object.__setattr__(self, "k_list", ks)
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "RunConfig":
-        if not isinstance(doc, dict):
-            raise ValueError(f"a run config must be a JSON object, got {type(doc).__name__}")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(doc) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**doc)
+    from_json = classmethod(_config_from_json)
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -223,6 +228,72 @@ class RunConfig:
         if self.n_qubits is not None:
             return spin_chain_termset(self.n_qubits, self.jx, self.jz, self.hx)
         return random_termset(self.d, self.m, self.norm_bound, self.seed)
+
+
+@dataclass(frozen=True)
+class ScalingConfig:
+    """One cost cross-check: schemes, t and eps grids, and a spin chain.
+
+    ``t_values`` is a list applied to every scheme, a mapping from scheme
+    name to its grid, or None for ``DEFAULT_SCALING_T_GRID``.
+    """
+
+    t_values: list | dict | None = None
+    eps_values: tuple[float, ...] = DEFAULT_SCALING_EPS_GRID
+    schemes: tuple[str, ...] = SCHEMES
+    fixed_eps: float = 1e-4
+    fixed_t: float = 1.0
+    n_qubits: int = 2
+    couplings: dict = field(default_factory=lambda: {"jx": 1.0, "jz": 1.0, "hx": 1.0})
+    seed: int = 7
+    panel_size: int = _PANEL_SIZE
+    k_cap: int = _BISECTION_K_CAP
+    out: str | None = None
+
+    def __post_init__(self):
+        schemes = self.schemes
+        if not isinstance(schemes, (list, tuple)) or not schemes:
+            raise ValueError(f"schemes must be a nonempty list of scheme names, got {schemes!r}")
+        bad = [s for s in schemes if s not in SCHEMES]
+        if bad:
+            raise ValueError(f"unknown scheme(s) {bad}, expected names from {SCHEMES}")
+        repeated = sorted({s for s in schemes if schemes.count(s) > 1})
+        if repeated:
+            raise ValueError(f"schemes must not repeat a name, got {repeated} more than once")
+        if isinstance(self.t_values, dict):
+            bad = [s for s in self.t_values if s not in SCHEMES]
+            if bad:
+                raise ValueError(f"unknown t_values key(s) {bad}, expected names from {SCHEMES}")
+        for scheme in schemes:
+            _require_grid(f"t_values[{scheme}]", self.t_grid(scheme))
+        _require_grid("eps_values", self.eps_values)
+        _require_positive("fixed_eps", self.fixed_eps)
+        _require_positive("fixed_t", self.fixed_t)
+        _require_qubits(self.n_qubits)
+        c = self.couplings
+        if not isinstance(c, dict) or set(c) != {"jx", "jz", "hx"}:
+            raise ValueError(
+                f'couplings must be an object {{"jx": .., "jz": .., "hx": ..}}, got {c!r}'
+            )
+        for name, value in c.items():
+            _require_finite(name, value)
+        _require_int("seed", self.seed, 0)
+        _require_panel(self.panel_size)
+        _require_int("k_cap", self.k_cap, 1)
+        if self.out is not None and not isinstance(self.out, str):
+            raise ValueError(f"out must be a path string or null, got {self.out!r}")
+
+    from_json = classmethod(_config_from_json)
+
+    def t_grid(self, scheme: str):
+        """The t grid of ``scheme``."""
+        if self.t_values is None:
+            return DEFAULT_SCALING_T_GRID[scheme]
+        if not isinstance(self.t_values, dict):
+            return self.t_values
+        if scheme not in self.t_values:
+            raise ValueError(f"t_values has no grid for scheme {scheme!r}")
+        return self.t_values[scheme]
 
 
 def state_panel(dim: int, n_states: int, seed: int) -> np.ndarray:
@@ -332,6 +403,13 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
 
+def k_list_errors(cfg: RunConfig) -> tuple[TermSet, list[tuple[int, int, float]]]:
+    """The config's term set and (K, N_exponentials, error) at each K of its list."""
+    ts = cfg.build_termset()
+    ev = SchemeEvaluator(ts, cfg.scheme, cfg.t, state_panel(ts.dim, cfg.panel_size, cfg.seed))
+    return ts, [(k, ev.n_exponentials(k), ev.error(k)) for k in cfg.k_list]
+
+
 def sweep_error_vs_K(cfg: RunConfig) -> SweepResult:
     """Evaluate one scheme over the config's K list and fit the decay slope.
 
@@ -340,12 +418,7 @@ def sweep_error_vs_K(cfg: RunConfig) -> SweepResult:
     retried without the two smallest K points (preasymptotic bend); the
     result records how many points were dropped.
     """
-    ts = cfg.build_termset()
-    panel = state_panel(ts.dim, cfg.panel_size, cfg.seed)
-    ev = SchemeEvaluator(ts, cfg.scheme, cfg.t, panel)
-    points = []
-    for k in cfg.k_list:
-        points.append((k, ev.n_exponentials(k), ev.error(k)))
+    ts, points = k_list_errors(cfg)
 
     meta = {
         "d": ts.dim,
@@ -569,39 +642,41 @@ def _walk(above, k_cap: int) -> int | None:
 
 
 class _ProbeLog:
-    """Probed errors of one cell and the outcomes they certify.
+    """Probed errors of one evaluator, shared by every cell at its t.
 
-    A probe whose error is above eps * (1 + margin) certifies "above" at every
-    smaller k; one below eps * (1 - margin) certifies "reached" at every
-    larger k. Any other k is decided by its own probe.
+    Against an eps, a probe whose error is above eps * (1 + margin) certifies
+    "above" at every smaller k; one below eps * (1 - margin) certifies
+    "reached" at every larger k. Any other k is decided by its own probe.
     """
 
-    def __init__(self, ev: SchemeEvaluator, eps: float):
-        self.ev, self.eps = ev, eps
+    def __init__(self, ev: SchemeEvaluator):
+        self.ev = ev
         self.values: dict[int, float] = {}
-        self.above_cert = 0  # largest k certified above (0: none)
-        self.reached_cert = math.inf  # smallest k certified reached
 
     def probe(self, k: int) -> float:
         if k not in self.values:
-            e = self.values[k] = self.ev.error(k)
-            if e > self.eps * (1.0 + _CERTIFICATE_MARGIN):
-                self.above_cert = max(self.above_cert, k)
-            elif e < self.eps * (1.0 - _CERTIFICATE_MARGIN):
-                self.reached_cert = min(self.reached_cert, k)
+            self.values[k] = self.ev.error(k)
         return self.values[k]
 
-    def above(self, k: int) -> bool:
+    def certificates(self, eps: float) -> tuple[int, float]:
+        """Largest k certified above eps (0: none) and smallest k certified
+        reached (inf: none)."""
+        above = [k for k, e in self.values.items() if e > eps * (1.0 + _CERTIFICATE_MARGIN)]
+        reached = [k for k, e in self.values.items() if e < eps * (1.0 - _CERTIFICATE_MARGIN)]
+        return max(above, default=0), min(reached, default=math.inf)
+
+    def above(self, k: int, eps: float) -> bool:
         """Outcome at k from a probe: k's own, a certificate, or a new one."""
         if k not in self.values:
-            if k <= self.above_cert:
+            above_cert, reached_cert = self.certificates(eps)
+            if k <= above_cert:
                 return True
-            if k >= self.reached_cert:
+            if k >= reached_cert:
                 return False
-        return self.probe(k) > self.eps
+        return self.probe(k) > eps
 
 
-def _warm_up(log: _ProbeLog, order: float, top: int) -> None:
+def _warm_up(log: _ProbeLog, eps: float, order: float, top: int) -> None:
     """Model-guided probes just outside the certificate band around eps.
 
     Starts at K = 1. The model is a power law through the probe closest to
@@ -611,12 +686,12 @@ def _warm_up(log: _ProbeLog, order: float, top: int) -> None:
     ``_AIM`` * margin) until each side holds a certificate no farther from
     its aim than half the aimed width. Never probes beyond ``top``.
     """
-    if log.probe(1) <= log.eps:
+    if log.probe(1) <= eps:
         return
     aims = (math.log1p(_AIM * _CERTIFICATE_MARGIN), math.log1p(-_AIM * _CERTIFICATE_MARGIN))
     x_cap = math.log(2.0 * top)  # keeps exp() finite; aims are clamped to top
     for _ in range(_WARM_UP_PROBES):
-        gs = {k: math.log(e / log.eps) for k, e in log.values.items() if e > 0}
+        gs = {k: math.log(e / eps) for k, e in log.values.items() if e > 0}
         pts = sorted((abs(g), math.log(k), g) for k, g in gs.items())  # closest to eps first
         _, x0, g0 = pts[0]
         slope = -order
@@ -626,9 +701,10 @@ def _warm_up(log: _ProbeLog, order: float, top: int) -> None:
                 slope = local
         ka, kb = (math.exp(min(x0 + (g - g0) / slope, x_cap)) for g in aims)
         slack = max(kb - ka, 1.0) / 2
-        if log.above_cert < math.floor(ka) - slack:
+        above_cert, reached_cert = log.certificates(eps)
+        if above_cert < math.floor(ka) - slack:
             k = min(top, math.floor(ka))
-        elif log.reached_cert > math.ceil(kb) + slack:
+        elif reached_cert > math.ceil(kb) + slack:
             k = min(top, math.ceil(kb))
         else:
             return
@@ -637,7 +713,7 @@ def _warm_up(log: _ProbeLog, order: float, top: int) -> None:
         log.probe(k)
 
 
-def _bisect_min_k(ev: SchemeEvaluator, eps: float, k_cap: int) -> tuple[int, float] | None:
+def _bisect_min_k(log: _ProbeLog, eps: float, k_cap: int) -> tuple[int, float] | None:
     """Smallest K with panel error <= eps, by doubling then bisection.
 
     The walk is the plain one: K = 1, 2, 4, ... until the error is reached,
@@ -651,18 +727,18 @@ def _bisect_min_k(ev: SchemeEvaluator, eps: float, k_cap: int) -> tuple[int, flo
     alg2, 5.2e-6 strang, 9.2e-7 trotter), 28 times inside the margin, so the
     walk takes the same path as with a probe at every step. A short warm-up
     (:func:`_warm_up`) places probes just outside the band; its power-law
-    model only chooses where to probe.
+    model only chooses where to probe. Every probe already in ``log``, from
+    earlier cells at the same t, counts as well.
 
     The result is checked on probed values: error(K) <= eps < error(K - 1)
     (or K = 1), and None only on a probed error above eps at the largest
     power of two <= k_cap. If that check fails, the cell is walked again
-    with a probe at every step (earlier probes are reused, not repeated). Returns (K, error at K), or None
-    when eps is unreachable below the cap.
+    with a probe at every step (logged probes are reused, not repeated).
+    Returns (K, error at K), or None when eps is unreachable below the cap.
     """
     top = 1 << (k_cap.bit_length() - 1)
-    log = _ProbeLog(ev, eps)
-    _warm_up(log, 1.0 / EXPECTED_EXPONENTS[ev.scheme][1], top)
-    k = _walk(log.above, k_cap)
+    _warm_up(log, eps, 1.0 / EXPECTED_EXPONENTS[log.ev.scheme][1], top)
+    k = _walk(lambda j: log.above(j, eps), k_cap)
     if k is None:
         bracketed = log.probe(top) > eps
     else:
@@ -684,92 +760,50 @@ class ScalingReport:
         return asdict(self)
 
 
-def scaling_cross_check(
-    t_values=None,
-    eps_values=DEFAULT_SCALING_EPS_GRID,
-    *,
-    schemes=SCHEMES,
-    fixed_eps: float = 1e-4,
-    fixed_t: float = 1.0,
-    n_qubits: int = 2,
-    couplings: tuple[float, float, float] = (1.0, 1.0, 1.0),
-    seed: int = 7,
-    panel_size: int = _PANEL_SIZE,
-    k_cap: int = _BISECTION_K_CAP,
-) -> ScalingReport:
+def _exponent(xs, ns) -> float:
+    """Least-squares slope of log N against log x."""
+    return float(np.polyfit(np.log(xs), np.log(ns), 1)[0])
+
+
+def scaling_cross_check(cfg: ScalingConfig) -> ScalingReport:
     """Minimum exponential count versus t and versus 1/eps, with fits.
 
-    For each scheme, bisects the smallest K reaching the target error, then
-    fits log N against log t (expected exponent 2 for the first-order pair,
-    3/2 for the second-order pair) and against log(1/eps) (expected 1 and
-    1/2). ``t_values`` may be a sequence applied to every scheme or a mapping
-    from scheme to its grid; by default each scheme uses its documented grid.
-    Unreachable cells are reported, not raised. Every argument is checked
-    before anything is built.
+    For each scheme, bisects the smallest K reaching the target error in
+    every cell: (t, ``fixed_eps``) for each t of its grid, then
+    (``fixed_t``, eps) for each eps. Fits log N against log t (expected
+    exponent 2 for the first-order pair, 3/2 for the second-order pair) and
+    against log(1/eps) (expected 1 and 1/2). Cells at the same t share one
+    evaluator and its probe log. Unreachable cells are reported, not raised.
     """
-    if not isinstance(schemes, (list, tuple)) or not schemes:
-        raise ValueError(f"schemes must be a nonempty list of scheme names, got {schemes!r}")
-    bad = [s for s in schemes if s not in SCHEMES]
-    if bad:
-        raise ValueError(f"unknown scheme(s) {bad}, expected names from {SCHEMES}")
-    t_grids = {}
-    for scheme in schemes:
-        if t_values is None:
-            t_grids[scheme] = DEFAULT_SCALING_T_GRID[scheme]
-        elif isinstance(t_values, dict):
-            if scheme not in t_values:
-                raise ValueError(f"t_values has no grid for scheme {scheme!r}")
-            t_grids[scheme] = t_values[scheme]
-        else:
-            t_grids[scheme] = t_values
-        _require_grid(f"t_values[{scheme}]", t_grids[scheme])
-    _require_grid("eps_values", eps_values)
-    _require_positive("fixed_eps", fixed_eps)
-    _require_positive("fixed_t", fixed_t)
-    _require_qubits(n_qubits)
-    if not isinstance(couplings, (list, tuple)) or len(couplings) != 3:
-        raise ValueError(f"couplings must be (jx, jz, hx), got {couplings!r}")
-    for name, value in zip(("jx", "jz", "hx"), couplings):
-        _require_finite(name, value)
-    _require_int("seed", seed, 0)
-    _require_panel(panel_size)
-    _require_int("k_cap", k_cap, 1)
-    ts = spin_chain_termset(n_qubits, *couplings)
-    panel = state_panel(ts.dim, panel_size, seed)
+    ts = spin_chain_termset(cfg.n_qubits, **cfg.couplings)
+    panel = state_panel(ts.dim, cfg.panel_size, cfg.seed)
     per_scheme: dict = {}
-    for scheme in schemes:
-        t_grid = t_grids[scheme]
-
-        t_cells, failures = [], []
-        for t in t_grid:
-            ev = SchemeEvaluator(ts, scheme, t, panel)
-            found = _bisect_min_k(ev, fixed_eps, k_cap)
+    for scheme in cfg.schemes:
+        t_grid = cfg.t_grid(scheme)
+        cells: dict = {"t": [], "eps": []}
+        failures = []
+        logs: dict = {}
+        grid = [("t", t, t, cfg.fixed_eps) for t in t_grid]
+        grid += [("eps", eps, cfg.fixed_t, eps) for eps in cfg.eps_values]
+        for axis, x, t, eps in grid:
+            if t not in logs:  # of the earlier logs, only the one at fixed_t has cells left
+                logs = {cfg.fixed_t: logs[cfg.fixed_t]} if cfg.fixed_t in logs else {}
+                logs[t] = _ProbeLog(SchemeEvaluator(ts, scheme, t, panel))
+            found = _bisect_min_k(logs[t], eps, cfg.k_cap)
             if found is None:
-                failures.append({"t": t, "eps": fixed_eps, "reason": "k_cap"})
+                failures.append({"t": t, "eps": eps, "reason": "k_cap"})
                 continue
             k, achieved = found
-            t_cells.append({"t": t, "K": k, "N": ev.n_exponentials(k), "achieved": achieved})
-        exponent_t = None
+            cells[axis].append(
+                {axis: x, "K": k, "N": logs[t].ev.n_exponentials(k), "achieved": achieved}
+            )
+        t_cells, eps_cells = cells["t"], cells["eps"]
+        exponent_t = exponent_eps = None
         if len(t_cells) >= 3:
-            lx = np.log([c["t"] for c in t_cells])
-            ly = np.log([c["N"] for c in t_cells])
-            exponent_t = float(np.polyfit(lx, ly, 1)[0])
-
-        eps_cells = []
-        ev = SchemeEvaluator(ts, scheme, fixed_t, panel)
-        for eps in eps_values:
-            found = _bisect_min_k(ev, eps, k_cap)
-            if found is None:
-                failures.append({"t": fixed_t, "eps": eps, "reason": "k_cap"})
-                continue
-            k, achieved = found
-            eps_cells.append({"eps": eps, "K": k, "N": ev.n_exponentials(k), "achieved": achieved})
-        exponent_eps = None
+            exponent_t = _exponent([c["t"] for c in t_cells], [c["N"] for c in t_cells])
         if len(eps_cells) >= 2:
-            lx = np.log([1.0 / c["eps"] for c in eps_cells])
-            ly = np.log([c["N"] for c in eps_cells])
-            exponent_eps = float(np.polyfit(lx, ly, 1)[0])
-
+            inv_eps = [1.0 / c["eps"] for c in eps_cells]
+            exponent_eps = _exponent(inv_eps, [c["N"] for c in eps_cells])
         per_scheme[scheme] = {
             "t_grid": list(t_grid),
             "t_cells": t_cells,
@@ -779,4 +813,4 @@ def scaling_cross_check(
             "expected": list(EXPECTED_EXPONENTS[scheme]),
             "failures": failures,
         }
-    return ScalingReport(per_scheme=per_scheme, fixed_eps=fixed_eps, fixed_t=fixed_t)
+    return ScalingReport(per_scheme=per_scheme, fixed_eps=cfg.fixed_eps, fixed_t=cfg.fixed_t)

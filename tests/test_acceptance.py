@@ -11,6 +11,7 @@ from splitsim.bounds import lemma2_max, lemma2_uniform_value
 from splitsim.channels import apply_channel, channel_power, mixture_superoperator
 from splitsim.harness import (
     RunConfig,
+    ScalingConfig,
     lemma1_campaign,
     scaling_cross_check,
     stage_order_ratios,
@@ -114,7 +115,7 @@ def test_criterion_3_global_scaling_slopes():
 
 def test_criterion_4_cost_exponents():
     """Bisected N(t, eps): exponents 1.5/0.5 (second order), 2.0/1.0 (first)."""
-    report = scaling_cross_check(fixed_eps=1e-4, fixed_t=1.0, seed=7)
+    report = scaling_cross_check(ScalingConfig(fixed_eps=1e-4, fixed_t=1.0, seed=7))
     want = {
         "trotter": (2.0, 0.2, 1.0, 0.1),
         "alg1": (2.0, 0.2, 1.0, 0.1),

@@ -7,6 +7,7 @@ around eps. These tests hold it to the plain walk it replaces: the same
 bracket error(K) <= eps < error(K - 1) whatever the evaluator does.
 """
 
+import collections
 import math
 import random
 
@@ -17,8 +18,10 @@ from splitsim import harness
 from splitsim.hamiltonians import spin_chain_termset
 from splitsim.harness import (
     SCHEMES,
+    ScalingConfig,
     SchemeEvaluator,
     _CERTIFICATE_MARGIN,
+    _ProbeLog,
     _bisect_min_k,
     scaling_cross_check,
     state_panel,
@@ -95,9 +98,9 @@ M = _CERTIFICATE_MARGIN
 def test_only_probes_outside_the_band_decide_other_k(ratio, k, outcome, probed):
     eps = 1e-3
     ev = Table({50: 2 * eps, 100: ratio * eps, 150: eps / 2})
-    log = harness._ProbeLog(ev, eps)
+    log = _ProbeLog(ev)
     log.probe(100)
-    assert log.above(k) is outcome
+    assert log.above(k, eps) is outcome
     assert ev.probes == ([100, k] if probed else [100])
 
 
@@ -105,14 +108,14 @@ def scaling_cells(monkeypatch, **kwargs):
     """(evaluator, eps, k_cap, result, probes) of every cell of one report."""
     cells = []
 
-    def recording(ev, eps, k_cap):
-        counted = Counted(ev)
-        found = _bisect_min_k(counted, eps, k_cap)
-        cells.append((ev, eps, k_cap, found, counted.probes))
+    def recording(log, eps, k_cap):
+        logged = len(log.values)
+        found = _bisect_min_k(log, eps, k_cap)
+        cells.append((log.ev, eps, k_cap, found, len(log.values) - logged))
         return found
 
     monkeypatch.setattr(harness, "_bisect_min_k", recording)
-    scaling_cross_check(**kwargs)
+    scaling_cross_check(ScalingConfig(**kwargs))
     return cells
 
 
@@ -129,6 +132,23 @@ def test_scaling_cells_match_the_reference_in_half_the_probes(monkeypatch, n_qub
     assert 2 * ours <= reference, (ours, reference)
 
 
+def test_a_scaling_pass_probes_no_k_twice(monkeypatch):
+    """Cells at the same t share one probe log, so no (scheme, t, K) is
+    evaluated twice: not error(1) of each eps cell, nor the cell at
+    (fixed_t, fixed_eps) that is both a t cell and an eps cell."""
+    probed = collections.Counter()
+    error = SchemeEvaluator.error
+
+    def counted(ev, k):
+        probed[ev.scheme, ev.t, k] += 1
+        return error(ev, k)
+
+    monkeypatch.setattr(SchemeEvaluator, "error", counted)
+    scaling_cross_check(ScalingConfig(n_qubits=2))
+    assert probed
+    assert [key for key, n in probed.items() if n > 1] == []
+
+
 def random_cell(rng, w):
     """A power law with random scale, order and wobble, an eps it reaches
     near a K up to 2**23, and a k_cap up to 2**22."""
@@ -141,14 +161,14 @@ def test_wobble_inside_the_margin_gives_the_reference_result():
     rng = random.Random(13)
     for _ in range(400):
         f, eps, k_cap = random_cell(rng, rng.uniform(0.5, 1.0) * _CERTIFICATE_MARGIN / 10)
-        assert _bisect_min_k(f, eps, k_cap) == reference_min_k(f, eps, k_cap), vars(f)
+        assert _bisect_min_k(_ProbeLog(f), eps, k_cap) == reference_min_k(f, eps, k_cap), vars(f)
 
 
 def test_wobble_beyond_the_margin_keeps_the_bracket():
     rng = random.Random(17)
     for _ in range(400):
         f, eps, k_cap = random_cell(rng, rng.uniform(10 * _CERTIFICATE_MARGIN, 0.5))
-        found = _bisect_min_k(f, eps, k_cap)
+        found = _bisect_min_k(_ProbeLog(f), eps, k_cap)
         if found is None:
             assert f.error(2 ** (k_cap.bit_length() - 1)) > eps, vars(f)
         else:
@@ -168,8 +188,8 @@ def test_a_failed_bracket_sends_the_cell_to_the_plain_walk(monkeypatch):
     """Warm-up probes that certify "reached" at 700 and "above" at 800 end
     the certified walk at K = 801, where the error is above eps."""
     f = Dipped("trotter", 1.0, 1.0, 0.0)
-    monkeypatch.setattr(harness, "_warm_up", lambda log, order, top: [log.probe(k) for k in (1, 700, 800)])
-    assert _bisect_min_k(f, 1e-3, 2**22) == reference_min_k(f, 1e-3, 2**22) == (1000, 1e-3)
+    monkeypatch.setattr(harness, "_warm_up", lambda log, eps, order, top: [log.probe(k) for k in (1, 700, 800)])
+    assert _bisect_min_k(_ProbeLog(f), 1e-3, 2**22) == reference_min_k(f, 1e-3, 2**22) == (1000, 1e-3)
 
 
 @pytest.fixture(scope="module")
@@ -196,14 +216,14 @@ def test_edge_cells_match_the_reference(chain_panel, scheme, t, eps_at, eps, k_c
     ev = SchemeEvaluator(ts, scheme, t, panel)
     if eps_at is not None:
         eps = ev.error(eps_at)
-    assert _bisect_min_k(ev, eps, k_cap) == reference_min_k(ev, eps, k_cap)
+    assert _bisect_min_k(_ProbeLog(ev), eps, k_cap) == reference_min_k(ev, eps, k_cap)
 
 
 def test_alg1_error_is_a_local_power_law_to_a_tenth_of_the_margin(chain_panel):
     """The certificates assume that, within a few K of the bisected K, the
     error departs from a power law by far less than the margin."""
     ts, panel = chain_panel
-    doc = scaling_cross_check(schemes=("alg1",), n_qubits=2).per_scheme["alg1"]
+    doc = scaling_cross_check(ScalingConfig(schemes=("alg1",), n_qubits=2)).per_scheme["alg1"]
     far_t, small_eps = doc["t_cells"][-1], doc["eps_cells"][-1]
     cells = [(far_t["t"], far_t["K"]), (1.0, small_eps["K"])]
     for t, k in cells:

@@ -301,6 +301,14 @@ class TestScaling:
                 {"schemes": ["strang"], "t_values": [1.0, 1.0, 1.0], "n_qubits": 2},
                 "t_values[strang] must not repeat a value",
             ),
+            (
+                {"schemes": ["strang", "strang"], "n_qubits": 2},
+                "schemes must not repeat a name, got ['strang']",
+            ),
+            (
+                {"schemes": ["alg2"], "t_values": {"alg2": [1, 2, 4], "alg_2": "junk"}},
+                "unknown t_values key(s) ['alg_2']",
+            ),
         ],
     )
     def test_rejected_config_exits_two(self, tmp_path, capsys, doc, message):

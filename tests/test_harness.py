@@ -4,6 +4,7 @@ import pytest
 from splitsim.harness import (
     DEFAULT_SCALING_T_GRID,
     RunConfig,
+    ScalingConfig,
     fit_loglog,
     lemma1_campaign,
     scaling_cross_check,
@@ -277,24 +278,24 @@ class TestCampaign:
 
 class TestScaling:
     def test_alg2_exponents_quick(self):
-        report = scaling_cross_check(
+        report = scaling_cross_check(ScalingConfig(
             schemes=("alg2",),
             t_values={"alg2": (1.0, 2.0, 4.0)},
             eps_values=(1e-3, 1e-4),
             fixed_eps=1e-3,
-        )
+        ))
         cell = report.per_scheme["alg2"]
         assert cell["exponent_t"] == pytest.approx(1.5, abs=0.25)
         assert not cell["failures"]
 
     def test_unreachable_eps_reported_not_raised(self):
-        report = scaling_cross_check(
+        report = scaling_cross_check(ScalingConfig(
             schemes=("trotter",),
             t_values={"trotter": (0.5,)},
             eps_values=(1e-6,),
             fixed_eps=1e-6,
             k_cap=8,
-        )
+        ))
         cell = report.per_scheme["trotter"]
         assert cell["failures"]
         assert cell["exponent_t"] is None
@@ -308,7 +309,11 @@ class TestScaling:
     )
     def test_repeated_grid_value_rejected(self, kwargs, name):
         with pytest.raises(ValueError, match=f"{name} must not repeat a value"):
-            scaling_cross_check(schemes=("strang",), **kwargs)
+            scaling_cross_check(ScalingConfig(schemes=("strang",), **kwargs))
+
+    def test_t_values_may_name_an_unselected_scheme(self):
+        cfg = ScalingConfig(schemes=("alg2",), t_values={"alg2": [1, 2, 4], "strang": "junk"})
+        assert cfg.t_grid("alg2") == [1, 2, 4]
 
     def test_default_grids_cover_all_schemes(self):
         assert set(DEFAULT_SCALING_T_GRID) == {"trotter", "strang", "alg1", "alg2"}

@@ -16,6 +16,7 @@ from splitsim.channels import lemma1_report
 from splitsim.hamiltonians import spin_chain_termset
 from splitsim.harness import (
     RunConfig,
+    ScalingConfig,
     SchemeEvaluator,
     lemma1_campaign,
     scaling_cross_check,
@@ -35,7 +36,7 @@ DELETED = (
 
 @pytest.fixture(scope="module")
 def default_scaling():
-    return scaling_cross_check(n_qubits=2)
+    return scaling_cross_check(ScalingConfig(n_qubits=2))
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -108,7 +109,7 @@ RECORDS = {
     "BoundReport": _bound_report,
     "Lemma2Result": lambda: lemma2_max(3),
     "ScheduleAudit": lambda: audit_schedule(Word(((1, 0.5), (2, 1.0), (1, 0.5))), 1, 2, 1.0),
-    "ScalingReport": lambda: scaling_cross_check(schemes=("strang",), eps_values=(1e-3,)),
+    "ScalingReport": lambda: scaling_cross_check(ScalingConfig(schemes=("strang",), eps_values=(1e-3,))),
     "CampaignReport": lambda: lemma1_campaign(3, seed=0),
 }
 
