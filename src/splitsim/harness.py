@@ -29,7 +29,9 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,6 +88,9 @@ _BISECTION_K_CAP = 2**22
 _CERTIFICATE_MARGIN = 1e-3
 _AIM = 1.5
 _WARM_UP_PROBES = 6
+# Fewest Lemma-1 campaign instances per shard: a campaign shorter than two
+# shards' worth runs in process, where forking a worker costs more than it saves.
+_MIN_SHARD_INSTANCES = 250
 
 # Default time grids for the cost cross-check, one per scheme. First-order
 # coherent error stops accumulating once ||H|| * t passes the inverse level
@@ -235,7 +240,8 @@ class ScalingConfig:
     """One cost cross-check: schemes, t and eps grids, and a spin chain.
 
     ``t_values`` is a list applied to every scheme, a mapping from scheme
-    name to its grid, or None for ``DEFAULT_SCALING_T_GRID``.
+    name to its grid, or None for ``DEFAULT_SCALING_T_GRID``. The config
+    keeps its own copies of the caller's lists and dicts, grids as tuples.
     """
 
     t_values: list | dict | None = None
@@ -282,6 +288,16 @@ class ScalingConfig:
         _require_int("k_cap", self.k_cap, 1)
         if self.out is not None and not isinstance(self.out, str):
             raise ValueError(f"out must be a path string or null, got {self.out!r}")
+        # Keep copies, so a list the caller changes later cannot skip the checks.
+        grids = self.t_values
+        if isinstance(grids, dict):
+            grids = {s: tuple(g) if isinstance(g, list) else g for s, g in grids.items()}
+        elif grids is not None:
+            grids = tuple(grids)
+        object.__setattr__(self, "t_values", grids)
+        object.__setattr__(self, "eps_values", tuple(self.eps_values))
+        object.__setattr__(self, "schemes", tuple(schemes))
+        object.__setattr__(self, "couplings", dict(c))
 
     from_json = classmethod(_config_from_json)
 
@@ -504,27 +520,145 @@ class CampaignReport:
         return {**asdict(self), "ok": self.ok, "n_violations": len(self.violations)}
 
 
-def _control_instance(rng: np.random.Generator) -> tuple[TermSet, UnitaryMixture, float]:
-    """Commuting control: diagonal terms, single-word plain splitting.
+class _Instance(NamedTuple):
+    """One campaign instance's inputs, as drawn from the campaign generator.
 
-    The schedule reproduces the evolution exactly, so both the bound and the
+    A commuting control has ``scheme == "control"``, two real ``diagonals``
+    and no ``seed`` or ``m``; a random instance builds its term set from
+    ``seed``. ``mixing`` is None for a pure input state, else the weight and
+    the complex Gaussian matrix of the mixed part.
+    """
+
+    index: int
+    scheme: str
+    d: int
+    m: int | None
+    seed: int | None
+    dt: float
+    state_seed: int
+    diagonals: tuple | None = None
+    mixing: tuple | None = None
+
+
+def _draw_instance(rng: np.random.Generator, index: int) -> _Instance:
+    """Draws instance ``index``; every 25th instance is a commuting control.
+
+    The control is diagonal terms under single-word plain splitting: the
+    schedule reproduces the evolution exactly, so both the bound and the
     observed increase must vanish.
     """
-    d = int(rng.integers(2, 5))
-    terms = tuple(np.diag(rng.standard_normal(d)).astype(complex) for _ in range(2))
-    ts = TermSet(dim=d, terms=terms, labels=("D1", "D2"))
-    dt = float(rng.uniform(0.05, 0.2))
-    mix = UnitaryMixture(((1.0, trotter_word(ts, dt, 1)),))
-    return ts, mix, dt
+    if index % 25 == 24:
+        d = int(rng.integers(2, 5))
+        diagonals = tuple(rng.standard_normal(d) for _ in range(2))
+        dt = float(rng.uniform(0.05, 0.2))
+        state_seed = int(rng.integers(0, 2**31))
+        return _Instance(index, "control", d, None, None, dt, state_seed, diagonals)
+    d = int(rng.integers(2, 9))
+    m = int(rng.integers(2, 4))
+    seed = int(rng.integers(0, 2**31))
+    dt = float(rng.uniform(0.01, 0.2))
+    scheme = ("alg1", "alg2", "trotter", "strang")[int(rng.integers(0, 4))]
+    state_seed = int(rng.integers(0, 2**31))
+    mixing = None
+    if rng.random() >= 0.5:
+        weight = float(rng.uniform(0.0, 0.3))
+        mixing = (weight, rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return _Instance(index, scheme, d, m, seed, dt, state_seed, mixing=mixing)
 
 
-def _random_mixed_state(rng: np.random.Generator, psi: np.ndarray, weight: float) -> DensityMatrix:
-    d = len(psi)
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+def _random_mixed_state(psi: np.ndarray, weight: float, g: np.ndarray) -> DensityMatrix:
     w = g @ g.conj().T
     w /= np.trace(w).real
     mat = (1.0 - weight) * np.outer(psi, psi.conj()) + weight * w
     return DensityMatrix(mat)
+
+
+def _evaluate_instance(inst: _Instance) -> tuple:
+    """Bound report of one instance, reduced to what the campaign keeps.
+
+    Returns (is control, observed, bound, mean_dev, sq_dev, violation record
+    or None).
+    """
+    dt = inst.dt
+    if inst.scheme == "control":
+        terms = tuple(np.diag(v).astype(complex) for v in inst.diagonals)
+        ts = TermSet(dim=inst.d, terms=terms, labels=("D1", "D2"))
+        mix = UnitaryMixture(((1.0, trotter_word(ts, dt, 1)),))
+    else:
+        ts = random_termset(inst.d, inst.m, 1.0, inst.seed)
+        if inst.scheme == "alg1":
+            mix = alg1_stage_mixture(ts, dt)
+        elif inst.scheme == "alg2":
+            mix = alg2_stage_mixture(ts, dt)
+        elif inst.scheme == "trotter":
+            mix = UnitaryMixture(((1.0, trotter_word(ts, dt, 1)),))
+        else:
+            mix = UnitaryMixture(((1.0, strang_word(ts, dt, 1)),))
+    psi = state_panel(ts.dim, 1, inst.state_seed)[0]
+    rho0 = psi0 = pure_density(psi)
+    if inst.mixing is not None:
+        rho0 = _random_mixed_state(psi, *inst.mixing)
+
+    metadata = {"scheme": inst.scheme, "d": ts.dim, "m": ts.m, "dt": dt, "K": 1, "seed": inst.seed}
+    rep = lemma1_report(ts, mix, 1, dt, rho0, psi0, metadata=metadata)
+    violation = None
+    if rep.observed_raw > rep.bound + DOMINANCE_SLACK:
+        violation = {
+            "index": inst.index,
+            "scheme": inst.scheme,
+            "dt": dt,
+            "report": rep.to_json(),
+            "termset": termset_to_json(ts),
+            "mixture": mixture_to_json(mix),
+        }
+    return inst.scheme == "control", rep.observed, rep.bound, rep.mean_dev, rep.sq_dev, violation
+
+
+def _evaluate_shard(instances: list[_Instance], errstate: dict) -> list[tuple]:
+    """Outcomes of ``instances`` in order, under numpy error handling ``errstate``."""
+    with np.errstate(**errstate):
+        return [_evaluate_instance(inst) for inst in instances]
+
+
+def _shard_count(n_instances: int) -> int:
+    """Shards for a campaign: one per usable core, each of at least
+    ``_MIN_SHARD_INSTANCES`` instances. Without CPU affinity (not Linux) a
+    campaign stays in process."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), n_instances // _MIN_SHARD_INSTANCES))
+
+
+def _evaluate_sharded(instances: list[_Instance]) -> list[tuple]:
+    """Outcomes of ``instances`` in order, from contiguous shards.
+
+    The caller evaluates the first shard itself and forked workers the rest,
+    each under the caller's numpy error handling; a worker's exception is
+    raised here. Pool workers are gone when this returns or raises.
+    """
+    n, n_shards = len(instances), _shard_count(len(instances))
+    cuts = [n * j // n_shards for j in range(n_shards + 1)]
+    shards = [instances[a:b] for a, b in zip(cuts, cuts[1:]) if a < b]
+    errstate = np.geterr()
+    if len(shards) == 1:
+        return _evaluate_shard(shards[0], errstate)
+    import multiprocessing  # only here: its import costs more than a small campaign
+
+    # Fork explicitly: the Linux default start method changes in Python 3.14.
+    pool = multiprocessing.get_context("fork").Pool(len(shards) - 1)
+    try:
+        pending = [pool.apply_async(_evaluate_shard, (s, errstate)) for s in shards[1:]]
+        outcomes = _evaluate_shard(shards[0], errstate)
+        for result in pending:
+            outcomes += result.get()
+    except BaseException:
+        pool.terminate()
+        raise
+    else:
+        pool.close()
+    finally:
+        pool.join()
+    return outcomes
 
 
 def lemma1_campaign(n_instances: int, seed: int) -> CampaignReport:
@@ -535,79 +669,33 @@ def lemma1_campaign(n_instances: int, seed: int) -> CampaignReport:
     exceeds the bound plus ``DOMINANCE_SLACK``, serialized for reproduction. Also
     tracks the best tightness ratios seen, plus exact commuting controls
     where bound and observed must both vanish.
+
+    All instances are drawn first, in order, from one generator; the
+    evaluation is then split into contiguous shards, one per usable core
+    (``os.sched_getaffinity``), each of at least ``_MIN_SHARD_INSTANCES``,
+    and the outcomes are merged in index order. The report is the same for
+    any core count, and a campaign of fewer than two shards' worth of
+    instances runs in process. There is no knob for this.
     """
     if n_instances < 1:
         raise ValueError(f"need at least one instance, got {n_instances}")
     rng = np.random.default_rng(seed)
+    instances = [_draw_instance(rng, i) for i in range(n_instances)]
     violations: list[dict] = []
     best_ob = best_om = best_os = 0.0
     n_controls = 0
-
-    for i in range(n_instances):
-        if i % 25 == 24:
-            ts, mix, dt = _control_instance(rng)
-            psi = state_panel(ts.dim, 1, int(rng.integers(0, 2**31)))[0]
-            rho0 = psi0 = pure_density(psi)
-            scheme = "control"
-            instance_seed = None
-        else:
-            d = int(rng.integers(2, 9))
-            m = int(rng.integers(2, 4))
-            instance_seed = int(rng.integers(0, 2**31))
-            ts = random_termset(d, m, 1.0, instance_seed)
-            dt = float(rng.uniform(0.01, 0.2))
-            scheme = ("alg1", "alg2", "trotter", "strang")[int(rng.integers(0, 4))]
-            if scheme == "alg1":
-                mix = alg1_stage_mixture(ts, dt)
-            elif scheme == "alg2":
-                mix = alg2_stage_mixture(ts, dt)
-            elif scheme == "trotter":
-                mix = UnitaryMixture(((1.0, trotter_word(ts, dt, 1)),))
-            else:
-                mix = UnitaryMixture(((1.0, strang_word(ts, dt, 1)),))
-            psi = state_panel(ts.dim, 1, int(rng.integers(0, 2**31)))[0]
-            psi0 = pure_density(psi)
-            if rng.random() < 0.5:
-                rho0 = psi0
-            else:
-                rho0 = _random_mixed_state(rng, psi, float(rng.uniform(0.0, 0.3)))
-
-        rep = lemma1_report(
-            ts,
-            mix,
-            1,
-            dt,
-            rho0,
-            psi0,
-            metadata={
-                "scheme": scheme,
-                "d": ts.dim,
-                "m": ts.m,
-                "dt": dt,
-                "K": 1,
-                "seed": instance_seed,
-            },
-        )
-        if rep.observed_raw > rep.bound + DOMINANCE_SLACK:
-            violations.append(
-                {
-                    "index": i,
-                    "scheme": scheme,
-                    "dt": dt,
-                    "report": rep.to_json(),
-                    "termset": termset_to_json(ts),
-                    "mixture": mixture_to_json(mix),
-                }
-            )
-        if scheme == "control":
+    for control, observed, bound, mean_dev, sq_dev, violation in _evaluate_sharded(instances):
+        if violation is not None:
+            violations.append(violation)
+        if control:
             n_controls += 1
         else:
-            if rep.bound > 1e-12:
-                best_ob = max(best_ob, rep.observed / rep.bound)
-            if rep.mean_dev > 1e-12:
-                best_om = max(best_om, rep.observed / rep.mean_dev)
-            if rep.sq_dev > 1e-12:
-                best_os = max(best_os, rep.observed / rep.sq_dev)
+            if bound > 1e-12:
+                best_ob = max(best_ob, observed / bound)
+            if mean_dev > 1e-12:
+                best_om = max(best_om, observed / mean_dev)
+            if sq_dev > 1e-12:
+                best_os = max(best_os, observed / sq_dev)
 
     return CampaignReport(
         n_instances=n_instances,

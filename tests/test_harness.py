@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -313,7 +315,25 @@ class TestScaling:
 
     def test_t_values_may_name_an_unselected_scheme(self):
         cfg = ScalingConfig(schemes=("alg2",), t_values={"alg2": [1, 2, 4], "strang": "junk"})
-        assert cfg.t_grid("alg2") == [1, 2, 4]
+        assert cfg.t_grid("alg2") == (1, 2, 4)
+
+    def test_caller_lists_changed_later_change_nothing(self):
+        eps, grid, couplings = [1e-3], [1.0, 2.0], {"jx": 1.0, "jz": 1.0, "hx": 1.0}
+        t_map = {"strang": [4.0, 8.0]}
+        schemes = ["strang"]
+        listed = ScalingConfig(schemes=schemes, eps_values=eps, t_values=grid, couplings=couplings)
+        mapped = ScalingConfig(schemes=schemes, t_values=t_map)
+        eps.append(-1.0)
+        grid.append(-2.0)
+        t_map["strang"].append(-4.0)
+        t_map["alg1"] = "junk"
+        couplings["jx"] = math.nan
+        schemes.append("bogus")
+        assert listed.eps_values == (1e-3,)
+        assert listed.t_grid("strang") == (1.0, 2.0)
+        assert listed.couplings == {"jx": 1.0, "jz": 1.0, "hx": 1.0}
+        assert listed.schemes == mapped.schemes == ("strang",)
+        assert mapped.t_values == {"strang": (4.0, 8.0)}
 
     def test_default_grids_cover_all_schemes(self):
         assert set(DEFAULT_SCALING_T_GRID) == {"trotter", "strang", "alg1", "alg2"}
