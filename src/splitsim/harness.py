@@ -30,8 +30,10 @@ import json
 import math
 import numbers
 import os
+import pickle
+import signal
 from dataclasses import asdict, dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -78,6 +80,14 @@ __all__ = [
 ]
 
 SCHEMES = ("trotter", "strang", "alg1", "alg2")
+# One stage of each scheme over a step dt; the deterministic schemes are
+# one-word mixtures.
+_STAGE_MIXTURES = {
+    "trotter": lambda ts, dt: UnitaryMixture(((1.0, trotter_word(ts, dt, 1)),)),
+    "strang": lambda ts, dt: UnitaryMixture(((1.0, strang_word(ts, dt, 1)),)),
+    "alg1": alg1_stage_mixture,
+    "alg2": alg2_stage_mixture,
+}
 
 _PANEL_SIZE = 16
 _STAGE_PANEL_SEED = 7
@@ -362,17 +372,14 @@ class SchemeEvaluator:
     def error(self, k: int) -> float:
         dt = self.t / k
         targets = self._target_vecs
+        mix = _STAGE_MIXTURES[self.scheme](self.ts, dt)
         if self.scheme in ("trotter", "strang"):
-            word_fn = trotter_word if self.scheme == "trotter" else strang_word
-            seg = word_unitary(self.ts, word_fn(self.ts, dt, 1))
+            seg = word_unitary(self.ts, mix.entries[0][1])
             evolved = self.panel @ np.linalg.matrix_power(seg, k).T  # rows U v
             overlaps = np.einsum("ij,ij->i", targets.conj(), evolved)
             return float(2.0 * np.linalg.norm(evolved - overlaps[:, None] * targets, axis=1).max())
-        mix_fn = alg1_stage_mixture if self.scheme == "alg1" else alg2_stage_mixture
         out = evolve_states(
-            *word_stack(self.ts, mix_fn(self.ts, dt)),
-            self.stage_count(k),
-            self._panel_projectors,
+            *word_stack(self.ts, mix), self.stage_count(k), self._panel_projectors
         )
         diffs = out - self._target_projectors
         return float(np.linalg.svd(diffs, compute_uv=False).sum(axis=1).max())
@@ -484,13 +491,14 @@ def stage_order_ratios(ts: TermSet, dts) -> dict:
     panel = state_panel(ts.dim, _PANEL_SIZE, _STAGE_PANEL_SEED)
     psi0 = pure_density(panel[0])
     out: dict = {"dts": dts}
-    for scheme, mix_fn in (("alg1", alg1_stage_mixture), ("alg2", alg2_stage_mixture)):
+    for scheme in ("alg1", "alg2"):
         errors, bounds = [], []
         for dt in dts:
             # One segment of length dt: m single-term stages for alg1, one for alg2.
             ev = SchemeEvaluator(ts, scheme, dt, panel)
             errors.append(ev.error(1))
-            bounds.append(lemma1_report(ts, mix_fn(ts, dt), ev.stage_count(1), dt, psi0, psi0).bound)
+            mix = _STAGE_MIXTURES[scheme](ts, dt)
+            bounds.append(lemma1_report(ts, mix, ev.stage_count(1), dt, psi0, psi0).bound)
         out[scheme] = {
             "errors": errors,
             "bounds": bounds,
@@ -574,26 +582,15 @@ def _random_mixed_state(psi: np.ndarray, weight: float, g: np.ndarray) -> Densit
 
 
 def _evaluate_instance(inst: _Instance) -> tuple:
-    """Bound report of one instance, reduced to what the campaign keeps.
-
-    Returns (is control, observed, bound, mean_dev, sq_dev, violation record
-    or None).
-    """
+    """Bound report of one instance, reduced to what the campaign keeps: a
+    tally (see :func:`_merge_tallies`) of this instance alone."""
     dt = inst.dt
     if inst.scheme == "control":
         terms = tuple(np.diag(v).astype(complex) for v in inst.diagonals)
         ts = TermSet(dim=inst.d, terms=terms, labels=("D1", "D2"))
-        mix = UnitaryMixture(((1.0, trotter_word(ts, dt, 1)),))
     else:
         ts = random_termset(inst.d, inst.m, 1.0, inst.seed)
-        if inst.scheme == "alg1":
-            mix = alg1_stage_mixture(ts, dt)
-        elif inst.scheme == "alg2":
-            mix = alg2_stage_mixture(ts, dt)
-        elif inst.scheme == "trotter":
-            mix = UnitaryMixture(((1.0, trotter_word(ts, dt, 1)),))
-        else:
-            mix = UnitaryMixture(((1.0, strang_word(ts, dt, 1)),))
+    mix = _STAGE_MIXTURES["trotter" if inst.scheme == "control" else inst.scheme](ts, dt)
     psi = state_panel(ts.dim, 1, inst.state_seed)[0]
     rho0 = psi0 = pure_density(psi)
     if inst.mixing is not None:
@@ -601,23 +598,51 @@ def _evaluate_instance(inst: _Instance) -> tuple:
 
     metadata = {"scheme": inst.scheme, "d": ts.dim, "m": ts.m, "dt": dt, "K": 1, "seed": inst.seed}
     rep = lemma1_report(ts, mix, 1, dt, rho0, psi0, metadata=metadata)
-    violation = None
+    violations = []
     if rep.observed_raw > rep.bound + DOMINANCE_SLACK:
-        violation = {
+        violations = [{
             "index": inst.index,
             "scheme": inst.scheme,
             "dt": dt,
             "report": rep.to_json(),
             "termset": termset_to_json(ts),
             "mixture": mixture_to_json(mix),
-        }
-    return inst.scheme == "control", rep.observed, rep.bound, rep.mean_dev, rep.sq_dev, violation
+        }]
+    if inst.scheme == "control":
+        return violations, 1, 0.0, 0.0, 0.0
+    scales = (rep.bound, rep.mean_dev, rep.sq_dev)
+    return violations, 0, *(rep.observed / s if s > 1e-12 else 0.0 for s in scales)
 
 
-def _evaluate_shard(instances: list[_Instance], errstate: dict) -> list[tuple]:
-    """Outcomes of ``instances`` in order, under numpy error handling ``errstate``."""
-    with np.errstate(**errstate):
-        return [_evaluate_instance(inst) for inst in instances]
+def _merge_tallies(tallies) -> tuple:
+    """One tally of consecutive runs of instances, from theirs in order.
+
+    A tally is (violation records in index order, number of controls, best
+    observed over bound, over mean_dev and over sq_dev); a best ratio is 0.0
+    where no instance has one.
+    """
+    violations: list[dict] = []
+    n_controls = 0
+    best = [0.0, 0.0, 0.0]
+    for tally_violations, tally_controls, *tally_best in tallies:
+        violations += tally_violations
+        n_controls += tally_controls
+        best = [max(a, b) for a, b in zip(best, tally_best)]
+    return violations, n_controls, *best
+
+
+def _shard_outcomes(seed: int, start: int, stop: int) -> tuple:
+    """Tally of instances start..stop-1 of the campaign at ``seed``.
+
+    Draws instances 0..stop-1 from a fresh generator, as an unsharded
+    campaign would, evaluates only the last ones and keeps nothing drawn.
+    """
+    rng = np.random.default_rng(seed)
+    for index in range(start):
+        _draw_instance(rng, index)
+    return _merge_tallies(
+        _evaluate_instance(_draw_instance(rng, index)) for index in range(start, stop)
+    )
 
 
 def _shard_count(n_instances: int) -> int:
@@ -629,36 +654,73 @@ def _shard_count(n_instances: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), n_instances // _MIN_SHARD_INSTANCES))
 
 
-def _evaluate_sharded(instances: list[_Instance]) -> list[tuple]:
-    """Outcomes of ``instances`` in order, from contiguous shards.
-
-    The caller evaluates the first shard itself and forked workers the rest,
-    each under the caller's numpy error handling; a worker's exception is
-    raised here. Pool workers are gone when this returns or raises.
-    """
-    n, n_shards = len(instances), _shard_count(len(instances))
-    cuts = [n * j // n_shards for j in range(n_shards + 1)]
-    shards = [instances[a:b] for a, b in zip(cuts, cuts[1:]) if a < b]
-    errstate = np.geterr()
-    if len(shards) == 1:
-        return _evaluate_shard(shards[0], errstate)
-    import multiprocessing  # only here: its import costs more than a small campaign
-
-    # Fork explicitly: the Linux default start method changes in Python 3.14.
-    pool = multiprocessing.get_context("fork").Pool(len(shards) - 1)
+def _run_forked_shard(write_fd: int, seed: int, start: int, stop: int) -> NoReturn:
+    """Body of a forked shard: pickles (True, its tally) or (False, exception)
+    into ``write_fd`` and exits, with status 0 only after a complete dump."""
+    status = 1
     try:
-        pending = [pool.apply_async(_evaluate_shard, (s, errstate)) for s in shards[1:]]
-        outcomes = _evaluate_shard(shards[0], errstate)
-        for result in pending:
-            outcomes += result.get()
-    except BaseException:
-        pool.terminate()
-        raise
-    else:
-        pool.close()
+        try:
+            result = (True, _shard_outcomes(seed, start, stop))
+        except BaseException as exc:  # raised again by the caller
+            result = (False, exc)
+        with open(write_fd, "wb") as pipe:
+            pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
+        status = 0
     finally:
-        pool.join()
-    return outcomes
+        os._exit(status)
+
+
+def _evaluate_sharded(n_instances: int, seed: int) -> list[tuple]:
+    """Tally of each contiguous shard of the campaign, in order.
+
+    The caller forks one child per shard after the first, evaluates the
+    first shard itself and then reads each child's pickled tally from a
+    pipe. A child's exception is raised here; a child that ends any other
+    way (a signal, a failed dump) raises :class:`ChildProcessError`. Forked
+    children keep the caller's numpy error handling, and none outlives this
+    call: on any error the uncollected ones are killed and reaped.
+    """
+    n_shards = _shard_count(n_instances)
+    cuts = [n_instances * j // n_shards for j in range(n_shards + 1)]
+    children = []  # (first instance, pid, read end of its pipe), not yet reaped
+    try:
+        for start, stop in zip(cuts[1:], cuts[2:]):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                _run_forked_shard(write_fd, seed, start, stop)
+            os.close(write_fd)  # so that no later child holds it open
+            children.append((start, pid, open(read_fd, "rb")))
+        shards = [_shard_outcomes(seed, 0, cuts[1])]
+        while children:
+            start, pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[0]
+            if status != 0:
+                names = {s.value: s.name for s in signal.Signals}
+                ending = (
+                    f"was killed by {names.get(-status, f'signal {-status}')}"
+                    if status < 0
+                    else f"exited with status {status}"
+                )
+                raise ChildProcessError(f"campaign shard from instance {start} {ending}")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            shards.append(value)
+        return shards
+    finally:
+        for _, pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def lemma1_campaign(n_instances: int, seed: int) -> CampaignReport:
@@ -670,40 +732,27 @@ def lemma1_campaign(n_instances: int, seed: int) -> CampaignReport:
     tracks the best tightness ratios seen, plus exact commuting controls
     where bound and observed must both vanish.
 
-    All instances are drawn first, in order, from one generator; the
-    evaluation is then split into contiguous shards, one per usable core
-    (``os.sched_getaffinity``), each of at least ``_MIN_SHARD_INSTANCES``,
-    and the outcomes are merged in index order. The report is the same for
-    any core count, and a campaign of fewer than two shards' worth of
-    instances runs in process. There is no knob for this.
+    Instances are drawn in index order from one generator seeded by
+    ``seed``. They are evaluated in contiguous shards, one per usable core
+    (``os.sched_getaffinity``), each of at least ``_MIN_SHARD_INSTANCES``:
+    the caller takes the first shard and forked children the rest. Each
+    shard draws that one seeded stream up to its last instance and keeps
+    nothing it drew, so memory does not grow with ``n_instances`` apart
+    from violation records. Shard tallies are merged in index order, so the
+    report is the same for any core count; a campaign of fewer than two
+    shards' worth of instances runs in process. A shard killed by a signal
+    raises :class:`ChildProcessError`. There is no knob for this.
     """
     if n_instances < 1:
         raise ValueError(f"need at least one instance, got {n_instances}")
-    rng = np.random.default_rng(seed)
-    instances = [_draw_instance(rng, i) for i in range(n_instances)]
-    violations: list[dict] = []
-    best_ob = best_om = best_os = 0.0
-    n_controls = 0
-    for control, observed, bound, mean_dev, sq_dev, violation in _evaluate_sharded(instances):
-        if violation is not None:
-            violations.append(violation)
-        if control:
-            n_controls += 1
-        else:
-            if bound > 1e-12:
-                best_ob = max(best_ob, observed / bound)
-            if mean_dev > 1e-12:
-                best_om = max(best_om, observed / mean_dev)
-            if sq_dev > 1e-12:
-                best_os = max(best_os, observed / sq_dev)
-
+    violations, n_controls, *best = _merge_tallies(_evaluate_sharded(n_instances, seed))
     return CampaignReport(
         n_instances=n_instances,
         seed=seed,
         violations=tuple(violations),
-        best_observed_over_bound=best_ob,
-        best_observed_over_mean_dev=best_om,
-        best_observed_over_sq_dev=best_os,
+        best_observed_over_bound=best[0],
+        best_observed_over_mean_dev=best[1],
+        best_observed_over_sq_dev=best[2],
         n_controls=n_controls,
     )
 
