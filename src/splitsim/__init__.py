@@ -12,7 +12,6 @@ scalings.
 from .matkernel import (
     DensityMatrix,
     expm_hermitian,
-    kron,
     pure_density,
     spectral_norm,
     trace_distance,
@@ -36,27 +35,18 @@ from .schedules import (
 )
 from .channels import (
     BoundReport,
-    Superoperator,
-    apply_channel,
-    channel_power,
     evolve_states,
     exact_evolution,
     expected_sq_deviation,
     lemma1_report,
     mean_unitary,
-    mixture_superoperator,
     word_stack,
 )
 from .series import (
     InterleavingProfile,
     TruncatedSeries,
-    exact_series,
-    exp_step_series,
     interleaving_profile,
-    mixture_mean_series,
     s_value,
-    series_mul,
-    third_order_pair_sum,
     word_series,
 )
 from .bounds import (
@@ -64,7 +54,6 @@ from .bounds import (
     ScheduleAudit,
     audit_schedule,
     lemma2_max,
-    lemma2_uniform_value,
 )
 from .harness import (
     RunConfig,

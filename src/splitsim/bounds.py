@@ -307,25 +307,14 @@ def audit_schedule(w: Word, a: int, b: int, dt_unit: float) -> ScheduleAudit:
     normalized = (
         abs(alpha - 1.0) <= NORMALIZATION_ATOL and abs(beta - 1.0) <= NORMALIZATION_ATOL
     )
-    if not normalized:
-        return ScheduleAudit(
-            pair=(a, b),
-            normalized=False,
-            alpha_sum=alpha,
-            beta_sum=beta,
-            s=None,
-            gap=None,
-            verdict="mistimed",
-        )
-    profile = interleaving_profile(w.scaled(1.0 / dt_unit), a, b)
-    s = s_value(profile.x)
+    s = s_value(interleaving_profile(w.scaled(1.0 / dt_unit), a, b).x) if normalized else None
     return ScheduleAudit(
         pair=(a, b),
-        normalized=True,
+        normalized=normalized,
         alpha_sum=alpha,
         beta_sum=beta,
         s=s,
-        gap=1.0 / 3.0 - s,
-        verdict="obstructed",
+        gap=None if s is None else 1.0 / 3.0 - s,
+        verdict="obstructed" if normalized else "mistimed",
     )
 

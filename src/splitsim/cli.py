@@ -91,9 +91,8 @@ def _cmd_expand(args) -> int:
         a, b = int(a_str), int(b_str)
     except ValueError as exc:
         raise ValueError(f"--pair expects 'a,b' with integers, got {args.pair!r}") from exc
-    m = args.m if args.m is not None else max(word.max_index(), a, b)
     audit = bounds.audit_schedule(word, a, b, args.dt_unit)
-    dump = series.series_to_json(series.word_series(word, m))
+    dump = series.series_to_json(series.word_series(word, max(word.max_index(), a, b)))
     if audit.verdict == "obstructed":
         print(
             f"pair ({a},{b}): s = {audit.s:.6f} < 1/3 (gap {audit.gap:.6f}), obstructed"
@@ -145,7 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expand", help="series dump + third-order audit of a word")
     p.add_argument("--word", required=True, help="path to a word JSON file")
     p.add_argument("--pair", required=True, help="term pair 'a,b'")
-    p.add_argument("--m", type=int, default=None)
     p.add_argument("--dt-unit", dest="dt_unit", type=float, default=1.0)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_expand)

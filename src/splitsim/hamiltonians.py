@@ -20,7 +20,6 @@ from .matkernel import (
     _spectral_exp,
     _spectrum,
     as_complex_matrix,
-    kron,
     spectral_norm,
     spectral_norms,
 )
@@ -91,12 +90,6 @@ class TermSet:
     def m(self) -> int:
         return len(self.terms)
 
-    def term(self, index: int) -> np.ndarray:
-        """Term by 1-based index."""
-        if not 1 <= index <= self.m:
-            raise ValueError(f"term index {index} out of range 1..{self.m}")
-        return self.terms[index - 1]
-
     def exp(self, index: int, tau: float) -> np.ndarray:
         """``exp(-i H_index tau)`` (1-based index) from the stored spectrum."""
         if not 1 <= index <= self.m:
@@ -161,7 +154,7 @@ def random_termset(d: int, m: int, norm_bound: float, seed: int) -> TermSet:
 def _site_operator(op: np.ndarray, site: int, n: int) -> np.ndarray:
     out = np.ones((1, 1), dtype=complex)
     for i in range(n):
-        out = kron(out, op if i == site else np.eye(2, dtype=complex))
+        out = np.kron(out, op if i == site else np.eye(2, dtype=complex))
     return out
 
 

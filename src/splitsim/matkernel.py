@@ -1,8 +1,8 @@
 """Dense complex matrix kernels.
 
 Hermitian eigendecomposition, unitary exponentials of Hermitian generators,
-spectral and trace norms, trace distance and Kronecker products. These are the
-numeric substrate for everything else in the package.
+spectral and trace norms and trace distance. These are the numeric substrate
+for everything else in the package.
 
 Conventions fixed here:
 
@@ -38,7 +38,6 @@ __all__ = [
     "as_complex_matrix",
     "expm_hermitian",
     "hermitian_deviation",
-    "kron",
     "pure_density",
     "spectral_norm",
     "spectral_norms",
@@ -141,11 +140,6 @@ def spectral_norms(stack) -> list[float]:
 def trace_norm(m) -> float:
     """Sum of singular values."""
     return float(np.linalg.svd(as_complex_matrix(m), compute_uv=False).sum())
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product, dimensions multiply."""
-    return np.kron(as_complex_matrix(a), as_complex_matrix(b))
 
 
 class DensityMatrix:

@@ -150,7 +150,7 @@ class UnitaryMixture:
             if not 0.0 < p <= 1.0:
                 raise ValueError(f"entry {i} has probability {p}, outside (0, 1]")
             if not isinstance(w, Word):
-                w = Word(tuple(w))
+                raise ValueError(f"entry {i} holds a {type(w).__name__}, expected a Word")
             clean.append((p, w))
         s = sum(p for p, _ in clean)
         if abs(s - 1.0) > PROBABILITY_SUM_ATOL:

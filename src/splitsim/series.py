@@ -18,11 +18,10 @@ import cmath
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .config import NORMALIZATION_ATOL
 from .schedules import Word
 
 __all__ = [
@@ -237,31 +236,18 @@ def series_to_matrix(s: TruncatedSeries, terms: Sequence[np.ndarray]) -> np.ndar
     return out
 
 
-def third_order_pair_sum(
-    w: Union[Word, TruncatedSeries], a: int, b: int
-) -> float:
+def third_order_pair_sum(s: TruncatedSeries, a: int, b: int) -> float:
     """Combined aba + bab third-order coefficient, in units of i * dt^3.
 
-    For a word input the durations of terms ``a`` and ``b`` must each total
-    one (normalized units); rescale first for other stage lengths. Returns
-    Re[(coeff(a,b,a) + coeff(b,a,b)) / i]. The exact evolution gives exactly
-    1/3 (1/6 from each ordering); any strictly positive-duration word comes
+    Returns Re[(coeff(a,b,a) + coeff(b,a,b)) / i]. The exact evolution gives
+    exactly 1/3 (1/6 from each ordering); the series of any strictly
+    positive-duration word whose terms ``a`` and ``b`` each total one comes
     out below 1/3.
     """
     if a == b:
         raise ValueError("the pair must consist of two distinct terms")
-    if isinstance(w, TruncatedSeries):
-        s = w
-        if max(a, b) > s.m:
-            raise ValueError(f"pair ({a}, {b}) outside the series symbols 1..{s.m}")
-    else:
-        ta, tb = w.term_total(a), w.term_total(b)
-        if abs(ta - 1.0) > NORMALIZATION_ATOL or abs(tb - 1.0) > NORMALIZATION_ATOL:
-            raise ValueError(
-                f"per-term totals must be 1 in normalized units, got "
-                f"total({a})={ta!r}, total({b})={tb!r}"
-            )
-        s = word_series(w, max(w.max_index(), a, b))
+    if max(a, b) > s.m:
+        raise ValueError(f"pair ({a}, {b}) outside the series symbols 1..{s.m}")
     combined = s.coeff((a, b, a)) + s.coeff((b, a, b))
     return float((combined / 1j).real)
 

@@ -27,7 +27,13 @@ from splitsim.matkernel import (
     trace_distance,
 )
 from splitsim.schedules import Word, alg2_stage_mixture
-from splitsim.series import exact_series, interleaving_profile, s_value, third_order_pair_sum
+from splitsim.series import (
+    exact_series,
+    interleaving_profile,
+    s_value,
+    third_order_pair_sum,
+    word_series,
+)
 
 from conftest import random_density_mat, random_hermitian, random_unit_vector
 
@@ -196,7 +202,7 @@ def test_criterion_6_bridge_identity():
             for k, t in zip(ks, taus)
         )
         w = Word(steps)
-        via_series = third_order_pair_sum(w, a, b)
+        via_series = third_order_pair_sum(word_series(w, m), a, b)
         via_profile = s_value(interleaving_profile(w, a, b).x)
         worst_gap = max(worst_gap, abs(via_series - via_profile))
         max_value = max(max_value, via_series)

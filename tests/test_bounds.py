@@ -121,9 +121,10 @@ class TestAuditSchedule:
     def test_mistimed(self):
         w = Word(((1, 0.9), (2, 1.0)))
         audit = audit_schedule(w, 1, 2, dt_unit=1.0)
-        assert audit.verdict == "mistimed"
-        assert audit.s is None
-        assert audit.alpha_sum == pytest.approx(0.9)
+        assert audit.to_json() == {
+            "pair": (1, 2), "normalized": False, "alpha_sum": 0.9, "beta_sum": 1.0,
+            "s": None, "gap": None, "verdict": "mistimed",
+        }
 
     def test_dt_unit_rescaling(self):
         w = Word(((1, 0.05), (2, 0.1), (1, 0.05)))
@@ -239,3 +240,20 @@ class TestGridEnumeration:
     def test_grid_rejected_beyond_exhaustive_range(self):
         with pytest.raises(ValueError, match="n <= 9"):
             lemma2_max(12, grid_steps=20)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: lemma2_max(4, grid_steps=1), "grid_steps must be >= 2, got 1"),
+        (lambda: lemma2_uniform_value(2), "need n >= 3, got 2"),
+        (
+            lambda: audit_schedule(Word(((1, 0.5), (2, 1.0), (1, 0.5))), 2, 2, dt_unit=1.0),
+            "two distinct terms",
+        ),
+    ],
+    ids=["lemma2-grid-below-two", "uniform-value-n2", "audit-equal-pair"],
+)
+def test_rejected_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -65,6 +65,8 @@ def test_shard_count_follows_usable_cores(monkeypatch):
     assert counts == {1: 1, 249: 1, 499: 1, 500: 2, 999: 3, 1000: 4, 10**6: 8}
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert splitsim.harness._shard_count(10**6) == 1
+    monkeypatch.delattr(os, "sched_getaffinity")  # no CPU affinity: in process
+    assert splitsim.harness._shard_count(10**6) == 1
 
 
 def _raise_in(where, exc_factory):
@@ -93,6 +95,17 @@ def test_shard_error_reaches_the_caller(monkeypatch, where):
     monkeypatch.setattr(splitsim.harness, "_shard_count", lambda n: 2)
     monkeypatch.setattr(splitsim.harness, "lemma1_report", _raise_in(where, _value_error))
     with pytest.raises(ValueError, match="shard failed"):
+        lemma1_campaign(26, 0)
+    _assert_no_child()
+
+
+def test_failed_fork_reaches_the_caller(monkeypatch):
+    def fork():
+        raise OSError("no process left")
+
+    monkeypatch.setattr(splitsim.harness, "_shard_count", lambda n: 2)
+    monkeypatch.setattr(splitsim.harness.os, "fork", fork)
+    with pytest.raises(OSError, match="no process left"):
         lemma1_campaign(26, 0)
     _assert_no_child()
 

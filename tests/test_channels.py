@@ -63,7 +63,7 @@ class TestExactEvolution:
     def test_commuting_factorization_oracle(self, commuting_termset):
         ts = commuting_termset
         t = 0.8
-        product = expm_hermitian(ts.term(1), t) @ expm_hermitian(ts.term(2), t)
+        product = expm_hermitian(ts.terms[0], t) @ expm_hermitian(ts.terms[1], t)
         assert spectral_norm(exact_evolution(ts, t) - product) <= 1e-10
 
     def test_half_z_terms_collapse(self, pauli_z):
@@ -125,6 +125,12 @@ class TestChannelPower:
             channel_power(s, -1)
 
 
+@pytest.mark.parametrize("shape", [(4, 4), (16, 4), (8, 8)])
+def test_superoperator_rejects_wrong_shape(shape):
+    with pytest.raises(ValueError, match="must be 16 x 16"):
+        Superoperator(dim=4, mat=np.zeros(shape))
+
+
 class TestApplyChannel:
     def test_identity_channel(self, rng):
         rho = DensityMatrix(random_density_mat(rng, 3))
@@ -155,8 +161,8 @@ class TestMeanUnitary:
 
     def test_alg2_two_term_formula(self, ts):
         dt = 0.3
-        u1 = expm_hermitian(ts.term(1), dt)
-        u2 = expm_hermitian(ts.term(2), dt)
+        u1 = expm_hermitian(ts.terms[0], dt)
+        u2 = expm_hermitian(ts.terms[1], dt)
         mean = mean_unitary(*word_stack(ts, alg2_stage_mixture(ts, dt)))
         assert spectral_norm(mean - 0.5 * (u1 @ u2 + u2 @ u1)) <= 1e-13
 
@@ -250,6 +256,19 @@ class TestLemma1Report:
                 DensityMatrix(np.eye(4) / 4),
                 DensityMatrix(np.eye(4) / 4),
             )
+
+    @pytest.mark.parametrize(
+        "k, dims, message",
+        [
+            (0, (4, 4), "stage count must be >= 1, got 0"),
+            (1, (2, 4), r"state dims \(2, 4\) do not match term-set dim 4"),
+            (1, (4, 2), r"state dims \(4, 2\) do not match term-set dim 4"),
+        ],
+    )
+    def test_rejects_bad_stage_count_or_dims(self, ts, k, dims, message):
+        rho0, psi0 = (pure_density([1.0] + [0.0] * (d - 1)) for d in dims)
+        with pytest.raises(ValueError, match=message):
+            lemma1_report(ts, alg1_stage_mixture(ts, 0.1), k, 0.1, rho0, psi0)
 
     def test_per_stage_orders(self):
         # the single-term scheme's m-stage group bound shrinks ~4x under

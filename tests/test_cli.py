@@ -167,6 +167,17 @@ class TestVerifyLemma2:
     def test_custom_grid(self, capsys):
         assert main(["verify-lemma2", "--n", "4", "--grid", "12"]) == EXIT_OK
 
+    def test_maximum_at_one_third_exits_one(self, capsys, monkeypatch):
+        # Exit 1 means a failed claim and nothing else: a maximum that reaches
+        # 1/3 is reported as a violation, not as invalid input.
+        from splitsim import cli
+        from splitsim.bounds import Lemma2Result
+
+        fake = Lemma2Result(n=3, max_s=1.0 / 3.0, argmax=(2 / 3, 2 / 3, 2 / 3), method="grid")
+        monkeypatch.setattr(cli.bounds, "lemma2_max", lambda n, grid: fake)
+        assert main(["verify-lemma2", "--n", "3"]) == EXIT_ASSERTION
+        assert "claim violated" in capsys.readouterr().out
+
     def test_invalid_n(self, capsys):
         assert main(["verify-lemma2", "--n", "2"]) == EXIT_INVALID
 
@@ -241,6 +252,14 @@ class TestExpand:
         word_path = tmp_path / "word.json"
         word_path.write_text(json.dumps({"steps": [[1, 1.0], [2, 1.0]]}))
         assert main(["expand", "--word", str(word_path), "--pair", "1;2"]) == EXIT_INVALID
+
+    def test_symbol_count_is_not_an_option(self, tmp_path, capsys):
+        # The dumped series always covers the word's symbols and the pair.
+        word_path = tmp_path / "word.json"
+        word_path.write_text(json.dumps({"steps": [[1, 0.5], [2, 1.0], [1, 0.5]]}))
+        argv = ["expand", "--word", str(word_path), "--pair", "1,2", "--m", "3"]
+        assert main(argv) == EXIT_INVALID
+        assert "--m" in capsys.readouterr().err
 
 
 class TestScaling:

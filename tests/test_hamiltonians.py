@@ -31,11 +31,9 @@ class TestTermSet:
         with pytest.raises(ValueError, match="shape"):
             TermSet(dim=2, terms=(Z, np.eye(3)), labels=("Z", "I3"))
 
-    def test_term_accessor_is_one_based(self):
-        ts = TermSet(dim=2, terms=(Z, X), labels=("Z", "X"))
-        assert np.array_equal(ts.term(1), Z)
-        with pytest.raises(ValueError, match="out of range"):
-            ts.term(3)
+    def test_requires_one_label_per_term(self):
+        with pytest.raises(ValueError, match="1 labels for 2 terms"):
+            TermSet(dim=2, terms=(Z, X), labels=("Z",))
 
 
 class TestTotal:
@@ -76,6 +74,11 @@ class TestRandomTermset:
             random_termset(1, 2, 1.0, seed=0)
         with pytest.raises(ValueError):
             random_termset(2, 1, 1.0, seed=0)
+
+    @pytest.mark.parametrize("norm_bound", [0.0, -1.0])
+    def test_rejects_non_positive_norm_bound(self, norm_bound):
+        with pytest.raises(ValueError, match="norm bound must be positive"):
+            random_termset(2, 2, norm_bound, seed=0)
 
 
 class TestSpinChain:

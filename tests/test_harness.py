@@ -119,6 +119,11 @@ class TestStatePanel:
 
 
 class TestSchemeEvaluator:
+    def test_rejects_unknown_scheme(self):
+        ts = spin_chain_termset(2, 1.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="unknown scheme 'suzuki4'"):
+            SchemeEvaluator(ts, "suzuki4", 1.0, state_panel(4, 2, seed=3))
+
     def test_matches_direct_word_evaluation(self):
         # the segment-power shortcut equals evaluating the full word
         ts = spin_chain_termset(2, 1.0, 1.0, 1.0)
@@ -276,6 +281,11 @@ class TestCampaign:
         doc = lemma1_campaign(10, seed=2).to_json()
         assert doc["ok"] is True
         assert doc["n_violations"] == 0
+
+    @pytest.mark.parametrize("n_instances", [0, -3])
+    def test_rejects_no_instances(self, n_instances):
+        with pytest.raises(ValueError, match="need at least one instance"):
+            lemma1_campaign(n_instances, seed=0)
 
 
 class TestScaling:

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from splitsim.matkernel import (
     DensityMatrix,
+    as_complex_matrix,
     expm_hermitian,
-    kron,
     pure_density,
     spectral_norm,
     trace_distance,
@@ -116,27 +116,6 @@ class TestNorms:
         assert trace_norm(m) <= rank * spectral_norm(m) + 1e-12
 
 
-class TestKron:
-    def test_identity(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_block_structure(self, rng):
-        a = rng.standard_normal((2, 2))
-        k = kron(a, np.eye(2))
-        assert np.allclose(k[0:2, 0:2], a[0, 0] * np.eye(2))
-        assert np.allclose(k[0:2, 2:4], a[0, 1] * np.eye(2))
-
-    def test_mixed_product_identity(self, rng):
-        mats = [
-            rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            for _ in range(4)
-        ]
-        a, b, c, d = mats
-        lhs = kron(a, b) @ kron(c, d)
-        rhs = kron(a @ c, b @ d)
-        assert spectral_norm(lhs - rhs) <= 1e-12
-
-
 class TestDensityMatrix:
     def test_valid(self, rng):
         dm = DensityMatrix(random_density_mat(rng, 4))
@@ -212,3 +191,9 @@ def test_pure_density_normalizes():
 def test_pure_density_rejects_zero():
     with pytest.raises(ValueError):
         pure_density([0.0, 0.0])
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 2, 2)])
+def test_as_complex_matrix_rejects_non_matrix(shape):
+    with pytest.raises(ValueError, match=f"ndim={len(shape)}"):
+        as_complex_matrix(np.zeros(shape))

@@ -45,6 +45,11 @@ class TestWord:
         assert w.term_total(2) == 1.0
         assert w.term_total(3) == 0.0
 
+    @pytest.mark.parametrize("factor", [0.0, -1.0])
+    def test_scaled_rejects_non_positive_factor(self, factor):
+        with pytest.raises(ValueError, match="scale factor must be positive"):
+            Word(((1, 0.5),)).scaled(factor)
+
 
 class TestWordUnitary:
     def test_empty_word_is_identity(self, ts):
@@ -52,11 +57,11 @@ class TestWordUnitary:
 
     def test_single_step(self, ts):
         w = Word(((2, 0.3),))
-        assert np.allclose(word_unitary(ts, w), expm_hermitian(ts.term(2), 0.3))
+        assert np.allclose(word_unitary(ts, w), expm_hermitian(ts.terms[1], 0.3))
 
     def test_operator_order_first_step_leftmost(self, ts):
         w = Word(((1, 0.4), (2, 0.7)))
-        expected = expm_hermitian(ts.term(1), 0.4) @ expm_hermitian(ts.term(2), 0.7)
+        expected = expm_hermitian(ts.terms[0], 0.4) @ expm_hermitian(ts.terms[1], 0.7)
         assert spectral_norm(word_unitary(ts, w) - expected) <= 1e-14
 
     def test_semigroup_merge(self, ts):
@@ -174,6 +179,36 @@ class TestMixtures:
         with pytest.raises(ValueError, match="at least one"):
             UnitaryMixture(())
 
+    @pytest.mark.parametrize("p", [0.0, -0.5, 1.5])
+    def test_probability_outside_unit_interval(self, p):
+        with pytest.raises(ValueError, match=r"outside \(0, 1\]"):
+            UnitaryMixture(((p, Word(((1, 0.1),))),))
+
+    def test_entries_must_be_words(self):
+        with pytest.raises(ValueError, match="entry 0 holds a tuple, expected a Word"):
+            UnitaryMixture(((1.0, ((1, 0.1), (2, 0.1))),))
+
+
+_BUILDERS = {
+    "trotter": lambda ts, dt, reps: trotter_word(ts, dt, reps),
+    "strang": lambda ts, dt, reps: strang_word(ts, dt, reps),
+    "alg1": lambda ts, dt, reps: alg1_stage_mixture(ts, dt),
+    "alg2": lambda ts, dt, reps: alg2_stage_mixture(ts, dt),
+}
+
+
+@pytest.mark.parametrize("builder", sorted(_BUILDERS))
+@pytest.mark.parametrize("dt", [0.0, -0.1])
+def test_builders_reject_non_positive_dt(ts, builder, dt):
+    with pytest.raises(ValueError, match="dt must be positive"):
+        _BUILDERS[builder](ts, dt, 1)
+
+
+@pytest.mark.parametrize("builder", ["trotter", "strang"])
+def test_word_builders_reject_zero_repetitions(ts, builder):
+    with pytest.raises(ValueError, match="repetition count must be >= 1"):
+        _BUILDERS[builder](ts, 0.1, 0)
+
 
 class TestMixturePower:
     def test_entry_count_and_probabilities(self, ts):
@@ -184,6 +219,10 @@ class TestMixturePower:
     def test_cap(self, ts):
         with pytest.raises(ValueError, match="cap"):
             mixture_power(alg2_stage_mixture(ts, 0.1), 20)
+
+    def test_rejects_zero_stages(self, ts):
+        with pytest.raises(ValueError, match="stage count must be >= 1"):
+            mixture_power(alg1_stage_mixture(ts, 0.1), 0)
 
 
 class TestJson:
@@ -203,6 +242,6 @@ def test_commuting_instance_all_schemes_exact(commuting_termset):
         for _, w in mix.entries:
             per_term = [w.term_total(k) for k in (1, 2)]
             u_ref = expm_hermitian(
-                sum(tot * ts.term(k) for k, tot in zip((1, 2), per_term)), 1.0
+                sum(tot * ts.terms[k - 1] for k, tot in zip((1, 2), per_term)), 1.0
             )
             assert spectral_norm(word_unitary(ts, w) - u_ref) <= 1e-10

@@ -11,11 +11,13 @@ from splitsim.schedules import (
     Word,
     alg1_stage_mixture,
     alg2_stage_mixture,
+    mixture_power,
     strang_word,
     trotter_word,
     word_unitary,
 )
 from splitsim.series import (
+    InterleavingProfile,
     TruncatedSeries,
     exact_series,
     exp_step_series,
@@ -74,7 +76,7 @@ class TestExpStepSeries:
         for tau in (0.1, 0.05):
             s = exp_step_series(1, tau, 2)
             resid.append(
-                spectral_norm(series_to_matrix(s, ts.terms) - expm_hermitian(ts.term(1), tau))
+                spectral_norm(series_to_matrix(s, ts.terms) - expm_hermitian(ts.terms[0], tau))
             )
         assert abs(resid[0] / resid[1] - 16.0) <= 0.3 * 16.0
 
@@ -248,6 +250,26 @@ class TestMixtureMeanSeries:
         assert gaps[0] > 0
         assert abs(gaps[0] / gaps[1] - 8.0) <= 1e-6
 
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_alg2_matches_exact_through_degree_two_for_m_terms(self, m):
+        ts = random_termset(2, m, 1.0, seed=m)
+        dt = 0.1
+        gap = _max_gap(mixture_mean_series(alg2_stage_mixture(ts, dt), m), exact_series(m, dt), 2)
+        assert gap <= 2e-15
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_alg1_group_is_off_at_degree_two(self, m):
+        # m single-term stages: term j lands before term k with probability
+        # (m - 1) / (2m), so each ordered pair gets -dt**2 (m - 1) / (2m)
+        # instead of -dt**2 / 2, and each square is low by the same amount
+        # (Childs, Ostrander, Su, arXiv:1805.08385).
+        ts = random_termset(2, m, 1.0, seed=m)
+        dt = 0.1
+        group = mixture_mean_series(mixture_power(alg1_stage_mixture(ts, dt), m), m)
+        exact = exact_series(m, dt)
+        assert _max_gap(group, exact, 1) <= 1e-15
+        assert _max_gap(group, exact, 2) == pytest.approx(dt**2 * (m - 1) / (2 * m), abs=1e-15)
+
     def test_alg1_single_stage_mean(self):
         ts = random_termset(4, 2, 1.0, seed=31)
         dt = 0.4
@@ -265,6 +287,70 @@ class TestMixtureMeanSeries:
             assert abs(mean.coeff(word) - direct.coeff(word)) <= 1e-15
 
 
+def _max_gap(s, ref, degree):
+    """Largest coefficient gap between two series over words of length <= degree."""
+    words = [w for w in set(s.coeffs) | set(ref.coeffs) if len(w) <= degree]
+    return max(abs(s.coeff(w) - ref.coeff(w)) for w in words)
+
+
+def _comm(x, y):
+    return x @ y - y @ x
+
+
+def random_palindrome(rng):
+    """Random two-term palindromic word, each term's durations totalling one."""
+    while True:
+        n = int(rng.integers(2, 6))
+        half = list(zip(rng.integers(1, 3, size=n).tolist(), rng.uniform(0.05, 1.0, size=n)))
+        if {k for k, _ in half} == {1, 2}:
+            break
+    steps = half + half[::-1]
+    totals = {k: sum(tau for j, tau in steps if j == k) for k in (1, 2)}
+    return Word(tuple((k, tau / totals[k]) for k, tau in steps))
+
+
+# The merged Strang stage, then random palindromes.
+_PALINDROMES = [Word(((1, 0.5), (2, 1.0), (1, 0.5)))] + [
+    random_palindrome(np.random.default_rng(seed)) for seed in range(39)
+]
+
+
+class TestThirdOrderAlgebra:
+    """A palindromic two-term stage with unit per-term totals matches the
+    exact evolution through degree 2, and its degree-3 residual is the Lie
+    element alpha [A,[A,B]] + beta [B,[B,A]]: [A,[A,B]] = AAB - 2ABA + BAA
+    fixes alpha = -delta_aba / 2, likewise beta = -delta_bab / 2, and since the
+    exact aba + bab coefficient is i/3, alpha + beta = i (1/3 - s) / 2."""
+
+    @pytest.mark.parametrize("index", range(len(_PALINDROMES)))
+    def test_palindromic_stage_residuals(self, index):
+        w = _PALINDROMES[index]
+        a, b = random_termset(4, 2, 1.0, seed=index).terms
+        ws, exact = word_series(w, 2), exact_series(2, 1.0)
+        assert _max_gap(ws, exact, 2) <= 1e-15
+        delta = {k: ws.coeff(k) - exact.coeff(k) for k in exact.coeffs if len(k) == 3}
+        alpha, beta = -delta[(1, 2, 1)] / 2, -delta[(2, 1, 2)] / 2
+        residual = series_to_matrix(TruncatedSeries(m=2, coeffs=delta), (a, b))
+        lie = alpha * _comm(a, _comm(a, b)) + beta * _comm(b, _comm(b, a))
+        assert spectral_norm(residual - lie) <= 1e-14
+        s = third_order_pair_sum(ws, 1, 2)
+        assert abs(alpha + beta - 1j * (1.0 / 3.0 - s) / 2) <= 1e-12
+
+    def test_strang_stage_weights(self):
+        # alpha = -i/24 and beta = i/12, the constants of the two-term
+        # Strang commutator bound, and s = 1/4.
+        ws = word_series(_PALINDROMES[0], 2)
+        exact = exact_series(2, 1.0)
+        alpha = -(ws.coeff((1, 2, 1)) - exact.coeff((1, 2, 1))) / 2
+        beta = -(ws.coeff((2, 1, 2)) - exact.coeff((2, 1, 2))) / 2
+        assert abs(alpha + 1j / 24) <= 1e-16 and abs(beta - 1j / 12) <= 1e-16
+        assert third_order_pair_sum(ws, 1, 2) == 0.25
+
+    def test_non_palindromic_stage_misses_degree_two(self):
+        w = Word(((1, 0.3), (2, 1.0), (1, 0.7)))
+        assert _max_gap(word_series(w, 2), exact_series(2, 1.0), 2) > 0.1
+
+
 class TestThirdOrderPairSum:
     def test_exact_series_gives_one_third(self):
         assert third_order_pair_sum(exact_series(2, 1.0), 1, 2) == pytest.approx(
@@ -273,20 +359,19 @@ class TestThirdOrderPairSum:
 
     def test_merged_palindrome_word(self):
         w = Word(((1, 0.5), (2, 1.0), (1, 0.5)))
-        assert third_order_pair_sum(w, 1, 2) == pytest.approx(0.25, abs=1e-15)
+        assert third_order_pair_sum(word_series(w, 2), 1, 2) == pytest.approx(0.25, abs=1e-15)
 
     def test_plain_split_has_no_interleaving(self):
         w = Word(((1, 1.0), (2, 1.0)))
-        assert third_order_pair_sum(w, 1, 2) == 0.0
-
-    def test_rejects_unnormalized_with_offending_sums(self):
-        w = Word(((1, 0.9), (2, 1.0)))
-        with pytest.raises(ValueError, match="0.9"):
-            third_order_pair_sum(w, 1, 2)
+        assert third_order_pair_sum(word_series(w, 2), 1, 2) == 0.0
 
     def test_rejects_equal_pair(self):
         with pytest.raises(ValueError, match="distinct"):
             third_order_pair_sum(exact_series(2, 1.0), 1, 1)
+
+    def test_rejects_pair_outside_the_symbols(self):
+        with pytest.raises(ValueError, match=r"outside the series symbols 1\.\.2"):
+            third_order_pair_sum(exact_series(2, 1.0), 1, 3)
 
 
 class TestInterleavingProfile:
@@ -358,7 +443,7 @@ class TestBridgeIdentity:
         ts = random_termset(4, 2, 1.0, seed=41)
         w = strang_word(ts, 1.0, 1)
         prof = interleaving_profile(w, 1, 2)
-        assert third_order_pair_sum(w, 1, 2) == pytest.approx(
+        assert third_order_pair_sum(word_series(w, 2), 1, 2) == pytest.approx(
             s_value(prof.x), abs=1e-12
         )
 
@@ -368,7 +453,7 @@ class TestBridgeIdentity:
         rng = np.random.default_rng(seed)
         m = int(rng.integers(2, 5))
         w = random_normalized_word(rng, m)
-        via_series = third_order_pair_sum(w, 1, 2)
+        via_series = third_order_pair_sum(word_series(w, m), 1, 2)
         via_profile = s_value(interleaving_profile(w, 1, 2).x)
         assert abs(via_series - via_profile) <= 1e-12
         assert via_series < 1.0 / 3.0
@@ -390,3 +475,30 @@ class TestSeriesJson:
         doc = json.loads(json.dumps(series_to_json(s)))
         coeff_map = {tuple(c["word"]): complex(c["re"], c["im"]) for c in doc["coeffs"]}
         assert coeff_map[(1, 2, 1)] == 1j * 0.3**3 / 6
+
+
+_PALINDROME = Word(((1, 0.5), (2, 1.0), (1, 0.5)))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: TruncatedSeries(m=0, coeffs={}), "symbol count must be >= 1"),
+        (lambda: TruncatedSeries(m=2, coeffs={(1, 2, 1, 2): 1.0}), "exceeds the degree-3"),
+        (lambda: TruncatedSeries(m=2, coeffs={(1, 3): 1.0}), r"outside 1\.\.2"),
+        (lambda: word_series(Word(((3, 0.1),)), 2), "references symbol 3 but m=2"),
+        (lambda: series_to_matrix(identity_series(3), [np.eye(2)] * 2), "need 3 matrices, got 2"),
+        (lambda: InterleavingProfile(pair=(1, 1), x=(1.0,), total=1.0), "two distinct terms"),
+        (lambda: InterleavingProfile(pair=(1, 2, 3), x=(1.0,), total=1.0), "two distinct terms"),
+        (lambda: InterleavingProfile(pair=(1, 2), x=(1.0, 0.0), total=1.0), "strictly positive"),
+        (lambda: interleaving_profile(_PALINDROME, 2, 2), "two distinct terms"),
+    ],
+    ids=[
+        "series-no-symbols", "series-word-too-long", "series-symbol-out-of-range",
+        "word-symbol-above-m", "too-few-matrices", "profile-equal-pair", "profile-triple",
+        "profile-zero-block", "interleaving-equal-pair",
+    ],
+)
+def test_rejected_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

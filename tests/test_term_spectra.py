@@ -41,7 +41,7 @@ def _termsets():
 def test_term_exponential_is_bitwise_the_oracle(ts):
     for k in range(1, ts.m + 1):
         for tau in TAUS:
-            assert np.array_equal(ts.exp(k, tau), expm_hermitian(ts.term(k), tau))
+            assert np.array_equal(ts.exp(k, tau), expm_hermitian(ts.terms[k - 1], tau))
 
 
 def test_exp_rejects_out_of_range_index():
