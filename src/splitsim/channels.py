@@ -26,9 +26,9 @@ The path is the one with the smaller flop count, a pure function of
 (d, mixture size, panel size, K); it never depends on timing or settings.
 
 :func:`mixture_superoperator`, :func:`channel_power` and
-:func:`apply_channel` are the complex reference on column-vectorized density
-matrices: vec stacks columns, so conjugation by U is kron(conj(U), U) and
-vec(A @ rho @ B) = kron(B.T, A) @ vec(rho).
+:func:`apply_channel` are the complex reference: plain d**2 x d**2 arrays
+acting on density matrices stacked column by column, so conjugation by U is
+kron(conj(U), U), as A @ rho @ B stacks to kron(B.T, A) applied to stacked rho.
 
 Envelope: dim <= 64 and, for alg2, m <= 6 (720 words per stage).
 """
@@ -54,7 +54,6 @@ from .schedules import UnitaryMixture, mixture_power, word_unitary
 
 __all__ = [
     "BoundReport",
-    "Superoperator",
     "apply_channel",
     "channel_power",
     "evolve_states",
@@ -63,38 +62,8 @@ __all__ = [
     "lemma1_report",
     "mean_unitary",
     "mixture_superoperator",
-    "unvec",
-    "vec",
     "word_stack",
 ]
-
-
-def vec(mat: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization."""
-    return np.asarray(mat).flatten(order="F")
-
-
-def unvec(v: np.ndarray, dim: int) -> np.ndarray:
-    """Inverse of :func:`vec`; round-trips exactly."""
-    return np.asarray(v).reshape((dim, dim), order="F")
-
-
-@dataclass(frozen=True)
-class Superoperator:
-    """dim**2 x dim**2 matrix acting on column-vectorized density matrices."""
-
-    dim: int
-    mat: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.mat, dtype=complex)
-        if m.shape != (self.dim**2, self.dim**2):
-            raise ValueError(
-                f"superoperator for dim {self.dim} must be {self.dim**2} x {self.dim**2}, got {m.shape}"
-            )
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "mat", m)
 
 
 def exact_evolution(ts: TermSet, t: float) -> np.ndarray:
@@ -102,28 +71,29 @@ def exact_evolution(ts: TermSet, t: float) -> np.ndarray:
     return expm_hermitian(total(ts), t)
 
 
-def mixture_superoperator(ts: TermSet, mix: UnitaryMixture) -> Superoperator:
+def mixture_superoperator(ts: TermSet, mix: UnitaryMixture) -> np.ndarray:
     """sum_w p_w kron(conj(U_w), U_w); trace preserving by construction."""
     d = ts.dim
     s = np.zeros((d * d, d * d), dtype=complex)
     for p, w in mix.entries:
         u = word_unitary(ts, w)
         s += p * np.kron(u.conj(), u)
-    return Superoperator(dim=d, mat=s)
+    return s
 
 
-def channel_power(s: Superoperator, k: int) -> Superoperator:
+def channel_power(s: np.ndarray, k: int) -> np.ndarray:
     """The channel composed with itself ``k`` times; k = 0 gives the identity."""
     if k < 0:
         raise ValueError(f"composition count must be >= 0, got {k}")
-    return Superoperator(dim=s.dim, mat=np.linalg.matrix_power(s.mat, k))
+    return np.linalg.matrix_power(s, k)
 
 
-def apply_channel(s: Superoperator, rho: DensityMatrix) -> DensityMatrix:
+def apply_channel(s: np.ndarray, rho: DensityMatrix) -> DensityMatrix:
     """Apply the channel to a state; the output is validated as a state."""
-    if s.dim != rho.dim:
-        raise ValueError(f"channel dim {s.dim} != state dim {rho.dim}")
-    out = unvec(s.mat @ vec(rho.mat), s.dim)
+    d = rho.dim
+    if s.shape != (d * d, d * d):
+        raise ValueError(f"channel of shape {s.shape} does not act on states of dim {d}")
+    out = (s @ rho.mat.flatten(order="F")).reshape((d, d), order="F")
     return DensityMatrix(out, atol=CHANNEL_OUTPUT_ATOL)
 
 
@@ -194,9 +164,9 @@ def _basis_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
 def _liouville_matrix(probs: np.ndarray, us: np.ndarray) -> np.ndarray:
     """Real matrix of the stage in the Hermitian basis of :func:`_to_coords`.
 
-    Entry (k, l) is Tr(B_k Phi(B_l)). With G = X^T conj(X) for the rows
-    X_w = sqrt(p_w) vec(U_w), Phi(B)[a, b] = sum_{c,e} G[ac, be] B[c, e], so
-    only an index map over the diagonal and upper-triangle pairs remains.
+    Entry (k, l) is Tr(B_k Phi(B_l)). With G = X^T conj(X) for the rows X_w,
+    sqrt(p_w) U_w flattened row by row, Phi(B)[a, b] = sum_{c,e} G[ac, be]
+    B[c, e], so only an index map over the diagonal and upper pairs remains.
     """
     n_words, d, _ = us.shape
     x = np.sqrt(probs)[:, None] * us.reshape(n_words, d * d)

@@ -44,6 +44,10 @@ RNG_NAME = "numpy-PCG64"
 # Documented envelope: dense superoperators reach dim**2 = 4096 at dim 64.
 SUPPORTED_MAX_DIM = 64
 
+# Largest m of a random term set, which stacks all m(m-1)/2 pairwise
+# commutators: m = 200 takes 2.6 GB at dim 64, m = 32 takes 106 MB.
+SUPPORTED_MAX_TERMS = 32
+
 # Largest state panel: its (panel, dim, dim) complex projector stack is 64 MB
 # at dim 64.
 SUPPORTED_MAX_PANEL = 1024

@@ -42,6 +42,7 @@ from .config import (
     DOMINANCE_SLACK,
     SUPPORTED_MAX_DIM,
     SUPPORTED_MAX_PANEL,
+    SUPPORTED_MAX_TERMS,
 )
 from .channels import evolve_states, exact_evolution, lemma1_report, word_stack
 from .hamiltonians import (
@@ -74,7 +75,6 @@ __all__ = [
     "lemma1_campaign",
     "scaling_cross_check",
     "stable_json_dumps",
-    "stage_order_ratios",
     "state_panel",
     "sweep_error_vs_K",
 ]
@@ -90,7 +90,6 @@ _STAGE_MIXTURES = {
 }
 
 _PANEL_SIZE = 16
-_STAGE_PANEL_SEED = 7
 _BISECTION_K_CAP = 2**22
 # Bisection certificates (see _bisect_min_k): the relative band around eps
 # inside which a probed error decides only its own k, where the warm-up aims
@@ -212,7 +211,8 @@ class RunConfig:
             _require_qubits(self.n_qubits)
         if _require_int("d", self.d, 2) > SUPPORTED_MAX_DIM:
             raise ValueError(f"d={self.d} is above the supported maximum {SUPPORTED_MAX_DIM}")
-        _require_int("m", self.m, 2)
+        if _require_int("m", self.m, 2) > SUPPORTED_MAX_TERMS:
+            raise ValueError(f"m={self.m} is above the supported maximum {SUPPORTED_MAX_TERMS}")
         _require_int("seed", self.seed, 0)
         _require_panel(self.panel_size)
         if not isinstance(self.drop_bend_points, bool):
@@ -476,36 +476,6 @@ def sweep_error_vs_K(cfg: RunConfig) -> SweepResult:
         dropped_smallest=dropped,
         meta=meta,
     )
-
-
-def stage_order_ratios(ts: TermSet, dts) -> dict:
-    """Per-stage error and bound across a list of halving dt values.
-
-    The single-term scheme is measured per m-stage group (its natural unit of
-    simulated time); the permutation scheme per single stage. Returns, per
-    scheme, the panel-max observed errors, the bound values, and the
-    consecutive-ratio lists for both (expected to approach 4 and 8 under
-    halving).
-    """
-    dts = [float(dt) for dt in dts]
-    panel = state_panel(ts.dim, _PANEL_SIZE, _STAGE_PANEL_SEED)
-    psi0 = pure_density(panel[0])
-    out: dict = {"dts": dts}
-    for scheme in ("alg1", "alg2"):
-        errors, bounds = [], []
-        for dt in dts:
-            # One segment of length dt: m single-term stages for alg1, one for alg2.
-            ev = SchemeEvaluator(ts, scheme, dt, panel)
-            errors.append(ev.error(1))
-            mix = _STAGE_MIXTURES[scheme](ts, dt)
-            bounds.append(lemma1_report(ts, mix, ev.stage_count(1), dt, psi0, psi0).bound)
-        out[scheme] = {
-            "errors": errors,
-            "bounds": bounds,
-            "error_ratios": [a / b for a, b in zip(errors, errors[1:])],
-            "bound_ratios": [a / b for a, b in zip(bounds, bounds[1:])],
-        }
-    return out
 
 
 @dataclass(frozen=True)

@@ -15,12 +15,12 @@ Cost notes, none of which changes a value:
 * :func:`spectral_norm` reads the largest singular value straight from one
   SVD; :func:`spectral_norms` takes a whole (n, d, d) stack in one LAPACK
   call, and each of its values equals the per-matrix one bit for bit;
-* a Hermiticity check first bounds ``||m - m^dagger||`` by its Frobenius norm
-  and passes with no SVD when that is at most half the tolerance; otherwise
-  it falls back to the exact spectral deviation, so accept/reject decisions
-  and error messages are those of the exact check. A non-finite entry is
-  rejected as an infinite deviation before any SVD. :func:`hermitian_deviation`
-  stays public as that exact value.
+* a Hermiticity check bounds ``||m - m^dagger||`` by its Frobenius norm and
+  passes with no SVD when that is at most half the tolerance; otherwise it
+  falls back to the exact spectral deviation, so accept/reject decisions and
+  error messages are those of the exact check. A non-finite entry is rejected
+  first, as an infinite deviation. :func:`hermitian_deviation` stays public
+  as that exact value.
 
 All functions are pure and never mutate their arguments.
 """
@@ -67,18 +67,18 @@ def hermitian_deviation(m: np.ndarray) -> float:
 def _hermitian_violation(m: np.ndarray, atol: float) -> float | None:
     """None when ``hermitian_deviation(m) <= atol``; otherwise that deviation.
 
-    ``vdot(D, D)`` is ``||D||_F**2`` for D = m - m^dagger, and the spectral
-    norm never exceeds the Frobenius norm, so ``||D||_F <= atol / 2`` passes
-    without an SVD; the factor 2 absorbs rounding in both norms. A matrix
-    with an infinite or NaN entry never passes that bound and counts as an
-    infinite deviation, before any SVD (LAPACK rejects such input). Anything
-    else gets the exact deviation.
+    An infinite or NaN entry is an infinite deviation, found entrywise before
+    any arithmetic on m (m - m^dagger could form inf - inf) or SVD (LAPACK
+    rejects such input). ``vdot(D, D)`` is ``||D||_F**2`` for D = m - m^dagger
+    and ``||D||_2 <= ||D||_F``, so ``||D||_F <= atol / 2`` passes without an
+    SVD, the factor 2 absorbing rounding in both norms. Anything else gets
+    the exact deviation.
     """
+    if not np.isfinite(m).all():
+        return math.inf
     d = m - m.conj().T
     if np.vdot(d, d).real <= 0.25 * atol * atol:
         return None
-    if not np.isfinite(m).all():
-        return math.inf
     dev = hermitian_deviation(m)
     return dev if dev > atol else None
 

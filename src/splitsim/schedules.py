@@ -25,7 +25,6 @@ __all__ = [
     "Word",
     "alg1_stage_mixture",
     "alg2_stage_mixture",
-    "concat_words",
     "mixture_power",
     "mixture_to_json",
     "strang_word",
@@ -76,10 +75,6 @@ class Word:
         if not factor > 0:
             raise ValueError(f"scale factor must be positive, got {factor}")
         return Word(tuple((k, tau * factor) for k, tau in self.steps))
-
-
-def concat_words(*words: Word) -> Word:
-    return Word(tuple(itertools.chain.from_iterable(w.steps for w in words)))
 
 
 def word_unitary(ts: TermSet, w: Word) -> np.ndarray:
@@ -214,7 +209,8 @@ def mixture_power(mix: UnitaryMixture, stages: int) -> UnitaryMixture:
         p = 1.0
         for q, _ in combo:
             p *= q
-        out.append((p, concat_words(*(w for _, w in reversed(combo)))))
+        steps = itertools.chain.from_iterable(w.steps for _, w in reversed(combo))
+        out.append((p, Word(tuple(steps))))
     return UnitaryMixture(tuple(out))
 
 

@@ -29,7 +29,6 @@ __all__ = [
     "TruncatedSeries",
     "exact_series",
     "exp_step_series",
-    "identity_series",
     "interleaving_profile",
     "mixture_mean_series",
     "s_value",
@@ -68,10 +67,6 @@ class TruncatedSeries:
         return self.coeffs.get(tuple(word), 0j)
 
 
-def identity_series(m: int) -> TruncatedSeries:
-    return TruncatedSeries(m=m, coeffs={(): 1.0 + 0j})
-
-
 def exp_step_series(k: int, tau: float, m: int) -> TruncatedSeries:
     """Expansion of exp(-i H_k tau) through degree 3.
 
@@ -87,7 +82,10 @@ def exp_step_series(k: int, tau: float, m: int) -> TruncatedSeries:
 
 def _step_coeffs(tau: float) -> tuple[complex, complex, complex, complex]:
     """Coefficients of 1, k, kk and kkk in exp(-i H_k tau)."""
-    return 1.0 + 0j, complex(-1j * tau), complex(-0.5 * tau**2), complex(1j * tau**3 / 6.0)
+    try:
+        return 1.0 + 0j, complex(-1j * tau), complex(-0.5 * tau**2), complex(1j * tau**3 / 6.0)
+    except OverflowError:
+        raise OverflowError(f"step duration {tau!r} overflows its degree-3 coefficient") from None
 
 
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:

@@ -13,8 +13,9 @@ from splitsim.harness import (
     RunConfig,
     ScalingConfig,
     lemma1_campaign,
+    SchemeEvaluator,
     scaling_cross_check,
-    stage_order_ratios,
+    state_panel,
     sweep_error_vs_K,
     stable_json_dumps,
 )
@@ -64,9 +65,13 @@ def test_criterion_1_bound_dominance():
 def test_criterion_2_per_stage_orders():
     """Group error ratio 4 +/- 25% (alg1) and stage ratio 8 +/- 25% (alg2)."""
     ts = spin_chain_termset(2, 1.0, 1.0, 1.0)
-    out = stage_order_ratios(ts, (0.1, 0.05, 0.025))
-    r1 = out["alg1"]["error_ratios"]
-    r2 = out["alg2"]["error_ratios"]
+    panel = state_panel(ts.dim, 16, 7)
+    # One segment of length dt: m single-term stages for alg1, one for alg2.
+    ratios = {}
+    for scheme in ("alg1", "alg2"):
+        e = [SchemeEvaluator(ts, scheme, dt, panel).error(1) for dt in (0.1, 0.05, 0.025)]
+        ratios[scheme] = [a / b for a, b in zip(e, e[1:])]
+    r1, r2 = ratios["alg1"], ratios["alg2"]
     ok = all(abs(r - 4.0) <= 1.0 for r in r1) and all(abs(r - 8.0) <= 2.0 for r in r2)
     _verdict(
         2,

@@ -130,20 +130,23 @@ class TestHermitianViolation:
                     _build_checked(name, m)
                 assert str(exc.value) == _message(name, dev, atol)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("invalid", ["warn", "raise"])
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0.0, np.inf)])
     @pytest.mark.parametrize("where", [(0, 1), (1, 1)])
     @pytest.mark.parametrize("name", sorted(ATOLS))
-    def test_non_finite_input_is_rejected_before_any_svd(self, capfd, name, where, bad):
+    def test_non_finite_input_is_rejected_before_any_svd(self, capfd, name, where, bad, invalid):
         # LAPACK would print "DLASCL parameter number 4 had an illegal value"
-        # for an inf entry and let it pass; nothing may reach stderr. (An inf
-        # on the diagonal makes m - m^dagger raise numpy's RuntimeWarning for
-        # inf - inf, a Python warning that pytest records separately.)
+        # for an inf entry and let it pass; nothing may reach stderr. An inf
+        # on the diagonal must not reach m - m^dagger either, where inf - inf
+        # warns, or raises FloatingPointError under the CLI's errstate.
         m = np.eye(3, dtype=complex)
         m[where] = bad
         atol = ATOLS[name]
-        assert _hermitian_violation(m, atol) == math.inf
-        with pytest.raises(ValueError) as exc:
-            _build_checked(name, m)
+        with np.errstate(invalid=invalid):
+            assert _hermitian_violation(m, atol) == math.inf
+            with pytest.raises(ValueError) as exc:
+                _build_checked(name, m)
         assert str(exc.value) == _message(name, math.inf, atol)
         assert capfd.readouterr().err == ""
 

@@ -52,6 +52,8 @@ class TestSimulate:
             ({"k_list": [8.7, 16, 32]}, "integer"),
             ({"t": "1"}, "finite"),
             ({"d": 200, "n_qubits": None}, "supported maximum"),
+            # m(m-1)/2 commutators would take GBs before any check ran.
+            ({"d": 8, "m": 3000, "n_qubits": None}, "m=3000"),
             ({"min_r2": "banana"}, "unknown config keys"),
             ({"out": 5}, "out must be a path string"),
             ({"bend_residual_tol": "x", "k_list": [8, 16, 32, 64, 128]}, "bend_residual_tol"),
@@ -235,6 +237,13 @@ class TestExpand:
         assert main(argv) == EXIT_INVALID
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
+
+    def test_overflowing_duration_is_named(self, tmp_path, capsys):
+        word_path = tmp_path / "word.json"
+        word_path.write_text(json.dumps({"steps": [[1, 1e200], [2, 1.0], [1, 1e200]]}))
+        assert main(["expand", "--word", str(word_path), "--pair", "1,2"]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err == "error: step duration 1e+200 overflows its degree-3 coefficient\n"
 
     @pytest.mark.parametrize("dt_unit", ["inf", "nan", "0", "-1"])
     def test_non_finite_or_non_positive_dt_unit_exits_two(self, tmp_path, capsys, dt_unit):

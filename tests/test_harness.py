@@ -11,12 +11,19 @@ from splitsim.harness import (
     lemma1_campaign,
     scaling_cross_check,
     SchemeEvaluator,
-    stage_order_ratios,
     state_panel,
     sweep_error_vs_K,
 )
-from splitsim.hamiltonians import spin_chain_termset
-from splitsim.schedules import strang_word, trotter_word, word_unitary
+from splitsim.channels import lemma1_report
+from splitsim.hamiltonians import random_termset, spin_chain_termset
+from splitsim.matkernel import pure_density
+from splitsim.schedules import (
+    alg1_stage_mixture,
+    alg2_stage_mixture,
+    strang_word,
+    trotter_word,
+    word_unitary,
+)
 
 
 @pytest.fixture
@@ -252,14 +259,47 @@ class TestSweep:
         assert sweep_error_vs_K(cfg_off).dropped_smallest == 0
 
 
+_HALVING_DTS = (0.1, 0.05, 0.025)
+# Per halving of dt, an alg1 group of m stages loses 4x and an alg2 stage 8x:
+# (stage mixture, expected ratio, allowed deviation).
+_STAGE_ORDERS = {
+    "alg1": (alg1_stage_mixture, 4.0, 1.0),
+    "alg2": (alg2_stage_mixture, 8.0, 2.0),
+}
+_HALVING_TERMSETS = {
+    "chain2": lambda: spin_chain_termset(2, 1.0, 1.0, 1.0),
+    "chain3": lambda: spin_chain_termset(3, 1.0, 1.0, 1.0),
+    "random": lambda: random_termset(4, 3, 1.0, 5),
+}
+
+
+def _assert_halving_ratios(values, scheme):
+    _, target, slack = _STAGE_ORDERS[scheme]
+    for r in [a / b for a, b in zip(values, values[1:])]:
+        assert abs(r - target) <= slack, (scheme, r)
+
+
 class TestStageOrderRatios:
-    def test_halving_ratios(self):
+    @pytest.mark.parametrize("scheme", sorted(_STAGE_ORDERS))
+    def test_panel_error_halving_ratios(self, scheme):
+        # One segment of length dt: m single-term stages for alg1, one for alg2.
         ts = spin_chain_termset(2, 1.0, 1.0, 1.0)
-        out = stage_order_ratios(ts, (0.1, 0.05, 0.025))
-        for r in out["alg1"]["error_ratios"]:
-            assert abs(r - 4.0) <= 1.0
-        for r in out["alg2"]["error_ratios"]:
-            assert abs(r - 8.0) <= 2.0
+        panel = state_panel(ts.dim, 16, 7)
+        errors = [SchemeEvaluator(ts, scheme, dt, panel).error(1) for dt in _HALVING_DTS]
+        _assert_halving_ratios(errors, scheme)
+
+    @pytest.mark.parametrize("scheme", sorted(_STAGE_ORDERS))
+    @pytest.mark.parametrize("name", sorted(_HALVING_TERMSETS))
+    def test_lemma1_bound_halving_ratios(self, name, scheme):
+        ts = _HALVING_TERMSETS[name]()
+        psi0 = pure_density(state_panel(ts.dim, 16, 7)[0])
+        stage_mixture = _STAGE_ORDERS[scheme][0]
+        stages = ts.m if scheme == "alg1" else 1
+        bounds = [
+            lemma1_report(ts, stage_mixture(ts, dt), stages, dt, psi0, psi0).bound
+            for dt in _HALVING_DTS
+        ]
+        _assert_halving_ratios(bounds, scheme)
 
 
 class TestCampaign:

@@ -31,6 +31,7 @@ MODULES = ("matkernel", "hamiltonians", "schedules", "channels", "series", "boun
 DELETED = (
     "min_exponentials", "fit_cost_constant", "cubic_sum", "equal_split_floor", "hermitian_eig",
     "maximally_mixed", "sample_schedule", "mixture_from_json", "termset_from_json",
+    "Superoperator", "vec", "unvec", "stage_order_ratios", "identity_series", "concat_words",
 )
 
 

@@ -21,7 +21,6 @@ from splitsim.series import (
     TruncatedSeries,
     exact_series,
     exp_step_series,
-    identity_series,
     interleaving_profile,
     mixture_mean_series,
     s_value,
@@ -84,7 +83,7 @@ class TestExpStepSeries:
 class TestSeriesMul:
     def test_identity_is_neutral(self):
         a = exp_step_series(1, 0.4, 2)
-        prod = series_mul(a, identity_series(2))
+        prod = series_mul(a, TruncatedSeries(2, {(): 1}))
         assert prod.coeffs == a.coeffs
 
     def test_two_step_cross_coefficient(self):
@@ -106,7 +105,7 @@ class TestSeriesMul:
 
     def test_rejects_symbol_count_mismatch(self):
         with pytest.raises(ValueError, match="symbol counts"):
-            series_mul(identity_series(2), identity_series(3))
+            series_mul(TruncatedSeries(2, {(): 1}), TruncatedSeries(3, {(): 1}))
 
 
 class TestWordSeries:
@@ -138,7 +137,7 @@ class TestWordSeries:
 
 def series_mul_fold(w, m):
     """The word series as the plain product of step series, step by step."""
-    s = identity_series(m)
+    s = TruncatedSeries(m, {(): 1})
     for k, tau in w.steps:
         s = series_mul(s, exp_step_series(k, tau, m))
     return s
@@ -197,7 +196,7 @@ class TestDenseWordSeries:
         ):
             w = Word(steps)
             assert bits(word_series(w, 3)) == bits(series_mul_fold(w, 3))
-        with pytest.raises(OverflowError):
+        with pytest.raises(OverflowError, match=r"step duration 1e\+110"):
             word_series(Word(((1, 1e110),)), 2)
 
 
@@ -487,7 +486,7 @@ _PALINDROME = Word(((1, 0.5), (2, 1.0), (1, 0.5)))
         (lambda: TruncatedSeries(m=2, coeffs={(1, 2, 1, 2): 1.0}), "exceeds the degree-3"),
         (lambda: TruncatedSeries(m=2, coeffs={(1, 3): 1.0}), r"outside 1\.\.2"),
         (lambda: word_series(Word(((3, 0.1),)), 2), "references symbol 3 but m=2"),
-        (lambda: series_to_matrix(identity_series(3), [np.eye(2)] * 2), "need 3 matrices, got 2"),
+        (lambda: series_to_matrix(TruncatedSeries(3, {(): 1}), [np.eye(2)] * 2), "need 3 matrices, got 2"),
         (lambda: InterleavingProfile(pair=(1, 1), x=(1.0,), total=1.0), "two distinct terms"),
         (lambda: InterleavingProfile(pair=(1, 2, 3), x=(1.0,), total=1.0), "two distinct terms"),
         (lambda: InterleavingProfile(pair=(1, 2), x=(1.0, 0.0), total=1.0), "strictly positive"),
