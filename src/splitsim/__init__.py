@@ -43,7 +43,6 @@ from .channels import (
     word_stack,
 )
 from .series import (
-    InterleavingProfile,
     TruncatedSeries,
     interleaving_profile,
     s_value,

@@ -36,7 +36,7 @@ Envelope: dim <= 64 and, for alg2, m <= 6 (720 words per stage).
 from __future__ import annotations
 
 import operator
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -285,7 +285,6 @@ class BoundReport:
     bound: float
     observed: float
     observed_raw: float
-    metadata: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -304,7 +303,6 @@ def lemma1_report(
     t: float,
     rho0: DensityMatrix,
     psi0: DensityMatrix,
-    metadata: dict | None = None,
 ) -> BoundReport:
     """Evaluate the trace-distance error bound for a K-stage run of one stage.
 
@@ -339,5 +337,4 @@ def lemma1_report(
         bound=bound,
         observed=max(observed_raw, 0.0),
         observed_raw=observed_raw,
-        metadata=dict(metadata or {}),
     )

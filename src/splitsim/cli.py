@@ -167,9 +167,7 @@ def main(argv=None) -> int:
         # An overflowing or undefined numpy operation means out-of-envelope input.
         with np.errstate(over="raise", invalid="raise"):
             return args.fn(args)
-    except (
-        ValueError, OverflowError, FloatingPointError, OSError, KeyError, json.JSONDecodeError
-    ) as exc:
+    except (ValueError, OverflowError, FloatingPointError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

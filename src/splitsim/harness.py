@@ -209,10 +209,11 @@ class RunConfig:
         # Checked before any instance is built, so nothing oversized is allocated.
         if self.n_qubits is not None:
             _require_qubits(self.n_qubits)
-        if _require_int("d", self.d, 2) > SUPPORTED_MAX_DIM:
-            raise ValueError(f"d={self.d} is above the supported maximum {SUPPORTED_MAX_DIM}")
-        if _require_int("m", self.m, 2) > SUPPORTED_MAX_TERMS:
-            raise ValueError(f"m={self.m} is above the supported maximum {SUPPORTED_MAX_TERMS}")
+        # A spin chain never reads d or m, so only a random term set caps them.
+        for name, cap in (("d", SUPPORTED_MAX_DIM), ("m", SUPPORTED_MAX_TERMS)):
+            value = _require_int(name, getattr(self, name), 2)
+            if self.n_qubits is None and value > cap:
+                raise ValueError(f"{name}={value} is above the supported maximum {cap}")
         _require_int("seed", self.seed, 0)
         _require_panel(self.panel_size)
         if not isinstance(self.drop_bend_points, bool):
@@ -386,11 +387,11 @@ class SchemeEvaluator:
 
 
 def fit_loglog(points) -> tuple[float, float, float]:
-    """Least-squares line through (log K, log error); returns (slope,
-    intercept, r2)."""
+    """Least-squares line through (log x, log y) of positive points, such as
+    (K, error) or (t, N); returns (slope, intercept, r2)."""
     pts = [(float(k), float(e)) for k, e in points]
-    if len(pts) < 3:
-        raise ValueError(f"need at least 3 points for a fit, got {len(pts)}")
+    if len(pts) < 2:
+        raise ValueError(f"need at least 2 points for a fit, got {len(pts)}")
     if any(e <= 0 for _, e in pts):
         raise ValueError("all errors must be positive for a log-log fit")
     lx = np.log([k for k, _ in pts])
@@ -566,8 +567,7 @@ def _evaluate_instance(inst: _Instance) -> tuple:
     if inst.mixing is not None:
         rho0 = _random_mixed_state(psi, *inst.mixing)
 
-    metadata = {"scheme": inst.scheme, "d": ts.dim, "m": ts.m, "dt": dt, "K": 1, "seed": inst.seed}
-    rep = lemma1_report(ts, mix, 1, dt, rho0, psi0, metadata=metadata)
+    rep = lemma1_report(ts, mix, 1, dt, rho0, psi0)
     violations = []
     if rep.observed_raw > rep.bound + DOMINANCE_SLACK:
         violations = [{
@@ -867,11 +867,6 @@ class ScalingReport:
         return asdict(self)
 
 
-def _exponent(xs, ns) -> float:
-    """Least-squares slope of log N against log x."""
-    return float(np.polyfit(np.log(xs), np.log(ns), 1)[0])
-
-
 def scaling_cross_check(cfg: ScalingConfig) -> ScalingReport:
     """Minimum exponential count versus t and versus 1/eps, with fits.
 
@@ -907,10 +902,9 @@ def scaling_cross_check(cfg: ScalingConfig) -> ScalingReport:
         t_cells, eps_cells = cells["t"], cells["eps"]
         exponent_t = exponent_eps = None
         if len(t_cells) >= 3:
-            exponent_t = _exponent([c["t"] for c in t_cells], [c["N"] for c in t_cells])
+            exponent_t = fit_loglog([(c["t"], c["N"]) for c in t_cells])[0]
         if len(eps_cells) >= 2:
-            inv_eps = [1.0 / c["eps"] for c in eps_cells]
-            exponent_eps = _exponent(inv_eps, [c["N"] for c in eps_cells])
+            exponent_eps = fit_loglog([(1.0 / c["eps"], c["N"]) for c in eps_cells])[0]
         per_scheme[scheme] = {
             "t_grid": list(t_grid),
             "t_cells": t_cells,

@@ -22,10 +22,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .config import SUPPORTED_MAX_TERMS
 from .schedules import Word
 
 __all__ = [
-    "InterleavingProfile",
     "TruncatedSeries",
     "exact_series",
     "exp_step_series",
@@ -150,6 +150,8 @@ def word_series(w: Word, m: int) -> TruncatedSeries:
     if w.max_index() > m:
         raise ValueError(f"word references symbol {w.max_index()} but m={m}")
     alphabet = sorted({k for k, _ in w.steps})
+    if len(alphabet) > SUPPORTED_MAX_TERMS:  # the dense form holds about u**3 slots
+        raise ValueError(f"word uses {len(alphabet)} distinct terms, above the maximum {SUPPORTED_MAX_TERMS}")
     index = {k: i for i, k in enumerate(alphabet)}
     words, plans = _suffix_plans(len(alphabet))
     c: list[complex | None] = [None] * len(words)  # None: the word is absent
@@ -250,33 +252,14 @@ def third_order_pair_sum(s: TruncatedSeries, a: int, b: int) -> float:
     return float((combined / 1j).real)
 
 
-@dataclass(frozen=True)
-class InterleavingProfile:
-    """Alternating block totals of two chosen terms within a word.
+def interleaving_profile(w: Word, a: int, b: int) -> tuple[float, ...]:
+    """Alternating block totals of two terms within a word.
 
-    ``x[0]`` is the leading block and belongs to ``pair[0]``; consecutive
-    blocks belong to alternating members of the pair. Steps of other terms
-    are transparent: they separate nothing, so blocks of the same term merge
-    across them.
-    """
-
-    pair: tuple[int, int]
-    x: tuple[float, ...]
-    total: float
-
-    def __post_init__(self):
-        if len(self.pair) != 2 or self.pair[0] == self.pair[1]:
-            raise ValueError(f"pair must be two distinct terms, got {self.pair}")
-        if any(not xi > 0 for xi in self.x):
-            raise ValueError("all block durations must be strictly positive")
-
-
-def interleaving_profile(w: Word, a: int, b: int) -> InterleavingProfile:
-    """Project a word onto two terms and merge into alternating blocks.
-
-    The returned pair is oriented so that ``pair[0]`` owns the leading block.
-    The block counts of the two terms can differ by at most one, since blocks
-    alternate.
+    The word is projected onto ``a`` and ``b``; steps of other terms are
+    transparent, so blocks of the same term merge across them. The first
+    block belongs to whichever of the two terms the word applies first, and
+    consecutive blocks alternate between the terms, so their block counts
+    differ by at most one.
     """
     if a == b:
         raise ValueError("the pair must consist of two distinct terms")
@@ -292,10 +275,7 @@ def interleaving_profile(w: Word, a: int, b: int) -> InterleavingProfile:
     if a not in present or b not in present:
         missing = [k for k in (a, b) if k not in present]
         raise ValueError(f"word has no step of term(s) {missing}")
-    lead = blocks[0][0]
-    other = b if lead == a else a
-    x = tuple(tau for _, tau in blocks)
-    return InterleavingProfile(pair=(lead, other), x=x, total=float(sum(x)))
+    return tuple(tau for _, tau in blocks)
 
 
 def s_value(x: Sequence[float] | np.ndarray) -> float:

@@ -208,7 +208,7 @@ def test_criterion_6_bridge_identity():
         )
         w = Word(steps)
         via_series = third_order_pair_sum(word_series(w, m), a, b)
-        via_profile = s_value(interleaving_profile(w, a, b).x)
+        via_profile = s_value(interleaving_profile(w, a, b))
         worst_gap = max(worst_gap, abs(via_series - via_profile))
         max_value = max(max_value, via_series)
     exact_sum = third_order_pair_sum(exact_series(2, 1.0), 1, 2)

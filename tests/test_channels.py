@@ -268,16 +268,11 @@ class TestLemma1Report:
 
     def test_report_serializes(self, ts, rng):
         psi = pure_density(random_unit_vector(rng, 4))
-        rep = lemma1_report(
-            ts, alg1_stage_mixture(ts, 0.1), 1, 0.1, psi, psi,
-            metadata={"d": 4, "m": 2, "dt": 0.1, "K": 1, "seed": 5},
-        )
+        rep = lemma1_report(ts, alg1_stage_mixture(ts, 0.1), 1, 0.1, psi, psi)
         doc = rep.to_json()
         assert set(doc) == {
-            "mean_dev", "sq_dev", "input_dist", "bound",
-            "observed", "observed_raw", "metadata",
+            "mean_dev", "sq_dev", "input_dist", "bound", "observed", "observed_raw",
         }
-        assert doc["metadata"]["seed"] == 5
 
 
 class TestEvolveStates:

@@ -94,6 +94,25 @@ class TestSimulate:
         assert err.startswith("error:") and "panel_size" in err
 
 
+    @pytest.mark.parametrize("override", [{"d": 100}, {"m": 40}])
+    def test_spin_chain_ignores_random_termset_caps(self, tmp_path, capsys, override):
+        # A spin chain never reads d or m; they are echoed, not capped.
+        doc = {"scheme": "trotter", "t": 1, "k_list": [1, 2], "n_qubits": 2}
+        points = []
+        for cfg in (doc, {**doc, **override}):
+            path = tmp_path / "chain.json"
+            path.write_text(json.dumps(cfg))
+            assert main(["simulate", "--config", str(path)]) == EXIT_OK
+            points.append(json.loads(capsys.readouterr().out)["points"])
+        assert points[1] == points[0]
+
+    def test_non_json_config_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "broken.json"
+        path.write_text("{not json")
+        assert main(["simulate", "--config", str(path)]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_non_object_config_exits_two(self, tmp_path, capsys, command):
         path = tmp_path / "list.json"
@@ -261,6 +280,19 @@ class TestExpand:
         word_path = tmp_path / "word.json"
         word_path.write_text(json.dumps({"steps": [[1, 1.0], [2, 1.0]]}))
         assert main(["expand", "--word", str(word_path), "--pair", "1;2"]) == EXIT_INVALID
+
+    @pytest.mark.parametrize("u, code", [(32, EXIT_OK), (33, EXIT_INVALID)])
+    def test_distinct_term_cap(self, tmp_path, capsys, u, code):
+        # The dense series holds about u**3 slots; past the run-config term
+        # cap the word is rejected before any is allocated.
+        word_path = tmp_path / "word.json"
+        word_path.write_text(json.dumps({"steps": [[k, 0.01] for k in range(1, u + 1)]}))
+        start = time.perf_counter()
+        assert main(["expand", "--word", str(word_path), "--pair", "1,2"]) == code
+        err = capsys.readouterr().err
+        if code == EXIT_INVALID:
+            assert time.perf_counter() - start < 2.0
+            assert err.startswith("error:") and "33" in err and "32" in err
 
     def test_symbol_count_is_not_an_option(self, tmp_path, capsys):
         # The dumped series always covers the word's symbols and the pair.

@@ -110,8 +110,15 @@ class TestFitLoglog:
             fit_loglog([(2, 1.0), (4, 0.0), (8, 0.1)])
 
     def test_rejects_too_few_points(self):
-        with pytest.raises(ValueError, match="3 points"):
-            fit_loglog([(2, 1.0), (4, 0.5)])
+        with pytest.raises(ValueError, match="2 points"):
+            fit_loglog([(2, 1.0)])
+
+    def test_two_points_suffice(self):
+        # a two-value eps grid of a scaling config fits from two cells; the
+        # least-squares solve lands within rounding of -1, not on it
+        slope, _, r2 = fit_loglog([(2, 1.0), (4, 0.5)])
+        assert abs(slope - (-1.0)) <= 1e-12
+        assert r2 == 1.0
 
 
 class TestStatePanel:

@@ -32,6 +32,7 @@ DELETED = (
     "min_exponentials", "fit_cost_constant", "cubic_sum", "equal_split_floor", "hermitian_eig",
     "maximally_mixed", "sample_schedule", "mixture_from_json", "termset_from_json",
     "Superoperator", "vec", "unvec", "stage_order_ratios", "identity_series", "concat_words",
+    "InterleavingProfile",
 )
 
 
@@ -84,7 +85,7 @@ RECORD_KEYS = {
         "dropped_smallest", "meta",
     },
     "BoundReport": {
-        "mean_dev", "sq_dev", "input_dist", "bound", "observed", "observed_raw", "metadata",
+        "mean_dev", "sq_dev", "input_dist", "bound", "observed", "observed_raw",
     },
     "Lemma2Result": {"n", "max_s", "argmax", "method", "grid_steps"},
     "ScheduleAudit": {"pair", "normalized", "alpha_sum", "beta_sum", "s", "gap", "verdict"},

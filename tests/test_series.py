@@ -17,7 +17,6 @@ from splitsim.schedules import (
     word_unitary,
 )
 from splitsim.series import (
-    InterleavingProfile,
     TruncatedSeries,
     exact_series,
     exp_step_series,
@@ -391,27 +390,22 @@ class TestInterleavingProfile:
             )
         )
         prof = interleaving_profile(w, 1, 2)
-        assert prof.pair == (1, 2)
-        assert prof.x == pytest.approx((lam[0], lam[1] + lam[3], lam[4] + lam[6]))
+        assert prof == pytest.approx((lam[0], lam[1] + lam[3], lam[4] + lam[6]))
 
     def test_strang_read_off(self):
         w = Word(((1, 0.5), (2, 1.0), (1, 0.5)))
-        prof = interleaving_profile(w, 1, 2)
-        assert prof.x == (0.5, 1.0, 0.5)
-        assert prof.total == 2.0
+        assert interleaving_profile(w, 1, 2) == (0.5, 1.0, 0.5)
 
     def test_pair_oriented_to_leading_block(self):
         w = Word(((2, 0.4), (1, 1.0), (2, 0.6)))
-        prof = interleaving_profile(w, 1, 2)
-        assert prof.pair == (2, 1)
-        assert prof.x == (0.4, 1.0, 0.6)
+        assert interleaving_profile(w, 1, 2) == (0.4, 1.0, 0.6)
 
     def test_block_counts_differ_by_at_most_one(self, rng):
         for _ in range(200):
             w = random_normalized_word(rng, m=4)
             prof = interleaving_profile(w, 1, 2)
-            na = sum(1 for i in range(len(prof.x)) if i % 2 == 0)
-            nb = len(prof.x) - na
+            na = sum(1 for i in range(len(prof)) if i % 2 == 0)
+            nb = len(prof) - na
             assert abs(na - nb) <= 1
 
     def test_rejects_missing_term(self):
@@ -443,7 +437,7 @@ class TestBridgeIdentity:
         w = strang_word(ts, 1.0, 1)
         prof = interleaving_profile(w, 1, 2)
         assert third_order_pair_sum(word_series(w, 2), 1, 2) == pytest.approx(
-            s_value(prof.x), abs=1e-12
+            s_value(prof), abs=1e-12
         )
 
     @settings(max_examples=60, deadline=None)
@@ -453,7 +447,7 @@ class TestBridgeIdentity:
         m = int(rng.integers(2, 5))
         w = random_normalized_word(rng, m)
         via_series = third_order_pair_sum(word_series(w, m), 1, 2)
-        via_profile = s_value(interleaving_profile(w, 1, 2).x)
+        via_profile = s_value(interleaving_profile(w, 1, 2))
         assert abs(via_series - via_profile) <= 1e-12
         assert via_series < 1.0 / 3.0
 
@@ -487,15 +481,16 @@ _PALINDROME = Word(((1, 0.5), (2, 1.0), (1, 0.5)))
         (lambda: TruncatedSeries(m=2, coeffs={(1, 3): 1.0}), r"outside 1\.\.2"),
         (lambda: word_series(Word(((3, 0.1),)), 2), "references symbol 3 but m=2"),
         (lambda: series_to_matrix(TruncatedSeries(3, {(): 1}), [np.eye(2)] * 2), "need 3 matrices, got 2"),
-        (lambda: InterleavingProfile(pair=(1, 1), x=(1.0,), total=1.0), "two distinct terms"),
-        (lambda: InterleavingProfile(pair=(1, 2, 3), x=(1.0,), total=1.0), "two distinct terms"),
-        (lambda: InterleavingProfile(pair=(1, 2), x=(1.0, 0.0), total=1.0), "strictly positive"),
         (lambda: interleaving_profile(_PALINDROME, 2, 2), "two distinct terms"),
+        (
+            lambda: word_series(Word(tuple((k, 0.01) for k in range(1, 34))), 33),
+            "uses 33 distinct terms, above the maximum 32",
+        ),
     ],
     ids=[
         "series-no-symbols", "series-word-too-long", "series-symbol-out-of-range",
-        "word-symbol-above-m", "too-few-matrices", "profile-equal-pair", "profile-triple",
-        "profile-zero-block", "interleaving-equal-pair",
+        "word-symbol-above-m", "too-few-matrices", "interleaving-equal-pair",
+        "word-too-many-terms",
     ],
 )
 def test_rejected_input(call, message):
