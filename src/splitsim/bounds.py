@@ -226,35 +226,27 @@ def lemma2_max(n: int, grid_steps: int | None = None) -> Lemma2Result:
                 if p.max() <= 1.0:
                     break
             starts.append(p)
-        best_x, best_v = None, -np.inf
-        for x0 in starts:
-            x, v = _polish(x0)
-            if v > best_v:
-                best_x, best_v = x, v
-        return Lemma2Result(
-            n=n, max_s=best_v, argmax=tuple(best_x), method="refined-local"
-        )
-
-    if grid_steps is None:
-        grid_steps = _DEFAULT_GRID_SMALL if n <= 6 else _DEFAULT_GRID_LARGE
-    if grid_steps < 2:
-        raise ValueError(f"grid_steps must be >= 2, got {grid_steps}")
-
-    h = 2.0 / grid_steps
-    cap = grid_steps // 2  # enforces x_i <= 1
-    rows = _composition_count(grid_steps, n, cap)
-    if rows > LEMMA2_GRID_MAX_ROWS:
-        raise ValueError(
-            f"the n={n} grid with {grid_steps} steps has {rows} points, above the cap of "
-            f"{LEMMA2_GRID_MAX_ROWS}; choose a coarser grid"
-        )
-    # S of the counts is an exact integer (h**3 times S of the point), so ties
-    # are exact and the lexicographically smallest grid point wins.
-    _, best_row = _grid_argmax(grid_steps, n, cap)
-    x, v = _polish([c * h for c in best_row])
-    return Lemma2Result(
-        n=n, max_s=v, argmax=tuple(x), method="grid", grid_steps=grid_steps
-    )
+    else:
+        if grid_steps is None:
+            grid_steps = _DEFAULT_GRID_SMALL if n <= 6 else _DEFAULT_GRID_LARGE
+        if grid_steps < 2:
+            raise ValueError(f"grid_steps must be >= 2, got {grid_steps}")
+        h = 2.0 / grid_steps
+        cap = grid_steps // 2  # enforces x_i <= 1
+        rows = _composition_count(grid_steps, n, cap)
+        if rows > LEMMA2_GRID_MAX_ROWS:
+            raise ValueError(
+                f"the n={n} grid with {grid_steps} steps has {rows} points, above the cap of "
+                f"{LEMMA2_GRID_MAX_ROWS}; choose a coarser grid"
+            )
+        # S of the counts is an exact integer (h**3 times S of the point), so ties
+        # are exact and the lexicographically smallest grid point wins.
+        _, best_row = _grid_argmax(grid_steps, n, cap)
+        starts = [[c * h for c in best_row]]
+    # The first start with the largest polished S wins.
+    x, v = max((_polish(x0) for x0 in starts), key=lambda polished: polished[1])
+    method = "refined-local" if grid_steps is None else "grid"
+    return Lemma2Result(n=n, max_s=v, argmax=tuple(x), method=method, grid_steps=grid_steps)
 
 
 def lemma2_uniform_value(n: int) -> float:

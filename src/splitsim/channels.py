@@ -50,7 +50,7 @@ from .matkernel import (
     spectral_norms,
     trace_distance,
 )
-from .schedules import UnitaryMixture, mixture_power, word_unitary
+from .schedules import UnitaryMixture, word_unitary
 
 __all__ = [
     "BoundReport",
@@ -297,22 +297,14 @@ def _require_pure(psi0: DensityMatrix) -> None:
 
 
 def lemma1_report(
-    ts: TermSet,
-    mix: UnitaryMixture,
-    k: int,
-    t: float,
-    rho0: DensityMatrix,
-    psi0: DensityMatrix,
+    ts: TermSet, mix: UnitaryMixture, t: float, rho0: DensityMatrix, psi0: DensityMatrix
 ) -> BoundReport:
-    """Evaluate the trace-distance error bound for a K-stage run of one stage.
+    """Evaluate the trace-distance error bound for one run of a mixture.
 
-    The stage mixture ``mix`` is composed ``k`` times (as a channel); the
-    reference is the exact evolution over total time ``t``. The bound terms
-    use the explicit k-fold product mixture, so they are exact rather than
-    per-stage estimates; per-stage quantities come out with k=1 and t=dt.
+    The reference is the exact evolution over time ``t``; one stack of
+    ``mix`` feeds the bound terms and the observed output. A K-stage run of
+    a stage over dt is the mixture ``mixture_power(stage, K)`` over K * dt.
     """
-    if k < 1:
-        raise ValueError(f"stage count must be >= 1, got {k}")
     if rho0.dim != ts.dim or psi0.dim != ts.dim:
         raise ValueError(
             f"state dims ({rho0.dim}, {psi0.dim}) do not match term-set dim {ts.dim}"
@@ -320,14 +312,13 @@ def lemma1_report(
     _require_pure(psi0)
 
     u0 = exact_evolution(ts, t)
-    stage = word_stack(ts, mix)
-    full = stage if k == 1 else word_stack(ts, mixture_power(mix, k))
-    mean_dev = spectral_norm(mean_unitary(*full) - u0)
-    sq_dev = expected_sq_deviation(*full, u0)
+    stack = word_stack(ts, mix)
+    mean_dev = spectral_norm(mean_unitary(*stack) - u0)
+    sq_dev = expected_sq_deviation(*stack, u0)
     input_dist = trace_distance(rho0, psi0)
     bound = input_dist + 2.0 * mean_dev + sq_dev
 
-    out = DensityMatrix(evolve_states(*stage, k, rho0.mat[None])[0], atol=CHANNEL_OUTPUT_ATOL)
+    out = DensityMatrix(evolve_states(*stack, 1, rho0.mat[None])[0], atol=CHANNEL_OUTPUT_ATOL)
     target = DensityMatrix(u0 @ psi0.mat @ u0.conj().T, atol=CHANNEL_OUTPUT_ATOL)
     observed_raw = trace_distance(out, target) - input_dist
     return BoundReport(

@@ -59,3 +59,8 @@ LEMMA2_GRID_MAX_ROWS = 4_000_000
 # Largest Lemma-2 coordinate count; the refined-local polish costs about n**3
 # and takes about 7.5 s at n=32 (one Python thread on a 2-vCPU VM).
 LEMMA2_MAX_N = 32
+
+# Scaling envelope: rounding in the panel error picks K below eps 1e-8 (strang
+# K**2 * error 0.96 at K = 2**16, 85 at 2**20) and past K = 2**22 (trotter).
+SCALING_MIN_EPS = 1e-8
+SCALING_MAX_K_CAP = 2**22

@@ -43,16 +43,14 @@ _MAX_REGENERATION_ATTEMPTS = 64
 
 @dataclass(frozen=True)
 class TermSet:
-    """m >= 2 Hermitian matrices of common dimension, with short labels.
+    """m >= 2 Hermitian matrices of a common square shape.
 
     Each term is decomposed once, right after validation: ``spectra`` holds
     its read-only (eigenvalues, eigenvectors) pair, and :meth:`exp` builds
     every term exponential from it.
     """
 
-    dim: int
     terms: tuple[np.ndarray, ...]
-    labels: tuple[str, ...]
     spectra: tuple[tuple[np.ndarray, np.ndarray], ...] = field(
         init=False, repr=False, compare=False
     )
@@ -60,22 +58,15 @@ class TermSet:
     def __post_init__(self):
         if len(self.terms) < 2:
             raise ValueError(f"a term set needs m >= 2 terms, got {len(self.terms)}")
-        if len(self.labels) != len(self.terms):
-            raise ValueError(
-                f"got {len(self.labels)} labels for {len(self.terms)} terms"
-            )
         frozen, spectra = [], []
         for i, term in enumerate(self.terms):
             m = as_complex_matrix(term)
-            if m.shape != (self.dim, self.dim):
-                raise ValueError(
-                    f"term {i + 1} has shape {m.shape}, expected ({self.dim}, {self.dim})"
-                )
+            d = len(frozen[0]) if frozen else m.shape[0]
+            if m.shape != (d, d):
+                raise ValueError(f"term {i + 1} has shape {m.shape}, expected ({d}, {d})")
             dev = _hermitian_violation(m, HERMITIAN_OUTPUT_ATOL)
             if dev is not None:
-                raise ValueError(
-                    f"term {i + 1} is not Hermitian: deviation {dev:.3e}"
-                )
+                raise ValueError(f"term {i + 1} is not Hermitian: deviation {dev:.3e}")
             m = m.copy()
             m.flags.writeable = False
             frozen.append(m)
@@ -84,7 +75,10 @@ class TermSet:
             spectra.append((w, v))
         object.__setattr__(self, "terms", tuple(frozen))
         object.__setattr__(self, "spectra", tuple(spectra))
-        object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
+
+    @property
+    def dim(self) -> int:
+        return len(self.terms[0])
 
     @property
     def m(self) -> int:
@@ -141,7 +135,7 @@ def random_termset(d: int, m: int, norm_bound: float, seed: int) -> TermSet:
             terms.append((a + a.conj().T) / 2.0)
         for h, norm in zip(terms, spectral_norms(np.stack(terms))):
             h *= norm_bound / norm
-        ts = TermSet(dim=d, terms=tuple(terms), labels=tuple(f"H{k + 1}" for k in range(m)))
+        ts = TermSet(tuple(terms))
         if min_pairwise_commutator(ts) >= DEGENERATE_COMMUTATOR_FLOOR:
             return ts
     raise ValueError(
@@ -184,14 +178,13 @@ def spin_chain_termset(n_qubits: int, jx: float, jz: float, hx: float) -> TermSe
                 f"spin-chain term '{name}' is identically zero with these couplings; "
                 "a term set needs two nonzero terms"
             )
-    return TermSet(dim=d, terms=(h1, h2), labels=("XX", "ZZ+field"))
+    return TermSet((h1, h2))
 
 
 def termset_to_json(ts: TermSet) -> dict:
-    """Exact JSON document: {dim, labels, terms: [[[re, im], ...] row-major]}."""
+    """Exact JSON document: {dim, terms: [[[re, im], ...] row-major]}."""
     return {
         "dim": ts.dim,
-        "labels": list(ts.labels),
         "terms": [
             [[float(z.real), float(z.imag)] for z in term.reshape(-1)]
             for term in ts.terms

@@ -11,7 +11,7 @@ Liouville powering or fused direct propagation of the whole panel by flop
 count; both are exact evaluations of the full schedule.
 
 Envelope: dim <= 64 (checked by :class:`RunConfig` before anything is
-allocated), alg2 m <= 6, bisections capped at 2**22 segments.
+allocated), alg2 m <= 6, scaling eps >= 1e-8 and k_cap <= 2**22.
 
 Cost cross-checks find, per cell, the smallest K with panel error <= eps by
 doubling from K = 1 and then bisecting. There is one evaluator and one probe
@@ -40,6 +40,8 @@ import numpy as np
 from .config import (
     COMMUTING_ERROR_FLOOR,
     DOMINANCE_SLACK,
+    SCALING_MAX_K_CAP,
+    SCALING_MIN_EPS,
     SUPPORTED_MAX_DIM,
     SUPPORTED_MAX_PANEL,
     SUPPORTED_MAX_TERMS,
@@ -90,7 +92,6 @@ _STAGE_MIXTURES = {
 }
 
 _PANEL_SIZE = 16
-_BISECTION_K_CAP = 2**22
 # Bisection certificates (see _bisect_min_k): the relative band around eps
 # inside which a probed error decides only its own k, where the warm-up aims
 # (in units of the margin) and how many warm-up probes a cell may take.
@@ -264,7 +265,7 @@ class ScalingConfig:
     couplings: dict = field(default_factory=lambda: {"jx": 1.0, "jz": 1.0, "hx": 1.0})
     seed: int = 7
     panel_size: int = _PANEL_SIZE
-    k_cap: int = _BISECTION_K_CAP
+    k_cap: int = SCALING_MAX_K_CAP
     out: str | None = None
 
     def __post_init__(self):
@@ -285,6 +286,9 @@ class ScalingConfig:
             _require_grid(f"t_values[{scheme}]", self.t_grid(scheme))
         _require_grid("eps_values", self.eps_values)
         _require_positive("fixed_eps", self.fixed_eps)
+        for name, eps in (("eps_values", min(self.eps_values)), ("fixed_eps", self.fixed_eps)):
+            if eps < SCALING_MIN_EPS:
+                raise ValueError(f"{name} has {eps!r}, below the eps floor {SCALING_MIN_EPS!r}")
         _require_positive("fixed_t", self.fixed_t)
         _require_qubits(self.n_qubits)
         c = self.couplings
@@ -296,7 +300,8 @@ class ScalingConfig:
             _require_finite(name, value)
         _require_int("seed", self.seed, 0)
         _require_panel(self.panel_size)
-        _require_int("k_cap", self.k_cap, 1)
+        if _require_int("k_cap", self.k_cap, 1) > SCALING_MAX_K_CAP:
+            raise ValueError(f"k_cap={self.k_cap} is above the supported maximum 2**22")
         if self.out is not None and not isinstance(self.out, str):
             raise ValueError(f"out must be a path string or null, got {self.out!r}")
         # Keep copies, so a list the caller changes later cannot skip the checks.
@@ -558,7 +563,7 @@ def _evaluate_instance(inst: _Instance) -> tuple:
     dt = inst.dt
     if inst.scheme == "control":
         terms = tuple(np.diag(v).astype(complex) for v in inst.diagonals)
-        ts = TermSet(dim=inst.d, terms=terms, labels=("D1", "D2"))
+        ts = TermSet(terms)
     else:
         ts = random_termset(inst.d, inst.m, 1.0, inst.seed)
     mix = _STAGE_MIXTURES["trotter" if inst.scheme == "control" else inst.scheme](ts, dt)
@@ -567,7 +572,7 @@ def _evaluate_instance(inst: _Instance) -> tuple:
     if inst.mixing is not None:
         rho0 = _random_mixed_state(psi, *inst.mixing)
 
-    rep = lemma1_report(ts, mix, 1, dt, rho0, psi0)
+    rep = lemma1_report(ts, mix, dt, rho0, psi0)
     violations = []
     if rep.observed_raw > rep.bound + DOMINANCE_SLACK:
         violations = [{
@@ -874,8 +879,11 @@ def scaling_cross_check(cfg: ScalingConfig) -> ScalingReport:
     every cell: (t, ``fixed_eps``) for each t of its grid, then
     (``fixed_t``, eps) for each eps. Fits log N against log t (expected
     exponent 2 for the first-order pair, 3/2 for the second-order pair) and
-    against log(1/eps) (expected 1 and 1/2). Cells at the same t share one
-    evaluator and its probe log. Unreachable cells are reported, not raised.
+    against log(1/eps) (expected 1 and 1/2). The cells at ``fixed_t`` share
+    one evaluator and its probe log, built before the scheme's cells; a cell
+    at any other t is the only one there and gets a log that lives only for
+    that cell, so at most two logs are alive. Unreachable cells are
+    reported, not raised.
     """
     ts = spin_chain_termset(cfg.n_qubits, **cfg.couplings)
     panel = state_panel(ts.dim, cfg.panel_size, cfg.seed)
@@ -884,20 +892,23 @@ def scaling_cross_check(cfg: ScalingConfig) -> ScalingReport:
         t_grid = cfg.t_grid(scheme)
         cells: dict = {"t": [], "eps": []}
         failures = []
-        logs: dict = {}
+        fixed = _ProbeLog(SchemeEvaluator(ts, scheme, cfg.fixed_t, panel))
         grid = [("t", t, t, cfg.fixed_eps) for t in t_grid]
         grid += [("eps", eps, cfg.fixed_t, eps) for eps in cfg.eps_values]
         for axis, x, t, eps in grid:
-            if t not in logs:  # of the earlier logs, only the one at fixed_t has cells left
-                logs = {cfg.fixed_t: logs[cfg.fixed_t]} if cfg.fixed_t in logs else {}
-                logs[t] = _ProbeLog(SchemeEvaluator(ts, scheme, t, panel))
-            found = _bisect_min_k(logs[t], eps, cfg.k_cap)
+            # t grids do not repeat, so a t other than fixed_t has this one cell.
+            found = _bisect_min_k(
+                fixed if t == cfg.fixed_t else _ProbeLog(SchemeEvaluator(ts, scheme, t, panel)),
+                eps,
+                cfg.k_cap,
+            )
             if found is None:
                 failures.append({"t": t, "eps": eps, "reason": "k_cap"})
                 continue
             k, achieved = found
+            # N depends on the scheme and m only, not on t.
             cells[axis].append(
-                {axis: x, "K": k, "N": logs[t].ev.n_exponentials(k), "achieved": achieved}
+                {axis: x, "K": k, "N": fixed.ev.n_exponentials(k), "achieved": achieved}
             )
         t_cells, eps_cells = cells["t"], cells["eps"]
         exponent_t = exponent_eps = None

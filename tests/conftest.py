@@ -39,6 +39,4 @@ def random_unit_vector(rng, d):
 @pytest.fixture
 def commuting_termset(rng):
     """Diagonal terms: every splitting is exact."""
-    d = 4
-    terms = tuple(np.diag(rng.standard_normal(d)).astype(complex) for _ in range(2))
-    return TermSet(dim=d, terms=terms, labels=("D1", "D2"))
+    return TermSet(tuple(np.diag(rng.standard_normal(4)).astype(complex) for _ in range(2)))

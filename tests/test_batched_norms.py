@@ -97,7 +97,7 @@ def _build_checked(name: str, m: np.ndarray) -> None:
     if name == "HERMITIAN_INPUT_ATOL":
         expm_hermitian(m, 0.1)
     elif name == "HERMITIAN_OUTPUT_ATOL":
-        TermSet(dim=m.shape[0], terms=(m, np.eye(m.shape[0])), labels=("A", "B"))
+        TermSet((m, np.eye(m.shape[0])))
     elif name == "DENSITY_ATOL":
         DensityMatrix(m)
     else:

@@ -29,6 +29,7 @@ from splitsim.schedules import (
     Word,
     alg1_stage_mixture,
     alg2_stage_mixture,
+    mixture_power,
     trotter_word,
     word_unitary,
 )
@@ -54,7 +55,7 @@ class TestExactEvolution:
         assert spectral_norm(exact_evolution(ts, t) - product) <= 1e-10
 
     def test_half_z_terms_collapse(self, pauli_z):
-        ts = TermSet(dim=2, terms=(pauli_z / 2, pauli_z / 2), labels=("a", "b"))
+        ts = TermSet((pauli_z / 2, pauli_z / 2))
         assert spectral_norm(
             exact_evolution(ts, np.pi) - expm_hermitian(pauli_z, np.pi)
         ) <= 1e-12
@@ -198,13 +199,13 @@ class TestLemma1Report:
         dt = 0.2
         mix = UnitaryMixture(((1.0, trotter_word(ts, dt, 1)),))
         psi = pure_density([1, 0, 0, 0])
-        rep = lemma1_report(ts, mix, 1, dt, psi, psi)
+        rep = lemma1_report(ts, mix, dt, psi, psi)
         assert rep.bound <= 1e-10
         assert rep.observed <= 1e-10
 
     def test_dominance_alg2_stage(self, ts, rng):
         psi = pure_density(random_unit_vector(rng, 4))
-        rep = lemma1_report(ts, alg2_stage_mixture(ts, 0.05), 1, 0.05, psi, psi)
+        rep = lemma1_report(ts, alg2_stage_mixture(ts, 0.05), 0.05, psi, psi)
         assert rep.observed_raw <= rep.bound + 1e-8
         assert rep.observed >= 0.0
 
@@ -214,7 +215,7 @@ class TestLemma1Report:
         rho0 = DensityMatrix(
             0.8 * psi.mat + 0.2 * np.asarray(random_density_mat(rng, 4))
         )
-        rep = lemma1_report(ts, alg1_stage_mixture(ts, 0.1), 1, 0.1, rho0, psi)
+        rep = lemma1_report(ts, alg1_stage_mixture(ts, 0.1), 0.1, rho0, psi)
         assert rep.input_dist == trace_distance(rho0, psi)
         assert rep.input_dist > 0
         assert rep.bound >= rep.input_dist
@@ -224,7 +225,7 @@ class TestLemma1Report:
         # 4-word mixture, not from per-stage numbers
         psi = pure_density(random_unit_vector(rng, 4))
         dt = 0.1
-        rep = lemma1_report(ts, alg2_stage_mixture(ts, dt), 2, 2 * dt, psi, psi)
+        rep = lemma1_report(ts, mixture_power(alg2_stage_mixture(ts, dt), 2), 2 * dt, psi, psi)
         assert rep.observed_raw <= rep.bound + 1e-8
         assert rep.mean_dev > 0
 
@@ -233,24 +234,22 @@ class TestLemma1Report:
             lemma1_report(
                 ts,
                 alg1_stage_mixture(ts, 0.1),
-                1,
                 0.1,
                 DensityMatrix(np.eye(4) / 4),
                 DensityMatrix(np.eye(4) / 4),
             )
 
     @pytest.mark.parametrize(
-        "k, dims, message",
+        "dims, message",
         [
-            (0, (4, 4), "stage count must be >= 1, got 0"),
-            (1, (2, 4), r"state dims \(2, 4\) do not match term-set dim 4"),
-            (1, (4, 2), r"state dims \(4, 2\) do not match term-set dim 4"),
+            ((2, 4), r"state dims \(2, 4\) do not match term-set dim 4"),
+            ((4, 2), r"state dims \(4, 2\) do not match term-set dim 4"),
         ],
     )
-    def test_rejects_bad_stage_count_or_dims(self, ts, k, dims, message):
+    def test_rejects_mismatched_dims(self, ts, dims, message):
         rho0, psi0 = (pure_density([1.0] + [0.0] * (d - 1)) for d in dims)
         with pytest.raises(ValueError, match=message):
-            lemma1_report(ts, alg1_stage_mixture(ts, 0.1), k, 0.1, rho0, psi0)
+            lemma1_report(ts, alg1_stage_mixture(ts, 0.1), 0.1, rho0, psi0)
 
     def test_per_stage_orders(self):
         # the single-term scheme's m-stage group bound shrinks ~4x under
@@ -259,8 +258,8 @@ class TestLemma1Report:
         psi = pure_density([1, 0, 0, 0])
         b1, b2 = [], []
         for dt in (0.02, 0.01):
-            rep1 = lemma1_report(ts, alg1_stage_mixture(ts, dt), ts.m, dt, psi, psi)
-            rep2 = lemma1_report(ts, alg2_stage_mixture(ts, dt), 1, dt, psi, psi)
+            rep1 = lemma1_report(ts, mixture_power(alg1_stage_mixture(ts, dt), ts.m), dt, psi, psi)
+            rep2 = lemma1_report(ts, alg2_stage_mixture(ts, dt), dt, psi, psi)
             b1.append(2 * rep1.mean_dev + rep1.sq_dev)
             b2.append(2 * rep2.mean_dev + rep2.sq_dev)
         assert abs(b1[0] / b1[1] - 4.0) <= 1.0
@@ -268,7 +267,7 @@ class TestLemma1Report:
 
     def test_report_serializes(self, ts, rng):
         psi = pure_density(random_unit_vector(rng, 4))
-        rep = lemma1_report(ts, alg1_stage_mixture(ts, 0.1), 1, 0.1, psi, psi)
+        rep = lemma1_report(ts, alg1_stage_mixture(ts, 0.1), 0.1, psi, psi)
         doc = rep.to_json()
         assert set(doc) == {
             "mean_dev", "sq_dev", "input_dist", "bound", "observed", "observed_raw",
@@ -318,6 +317,19 @@ class TestEvolveStates:
             assert _propagation_path(8, n_words, n_states, 2**20) == "liouville"
         # the d=64 envelope point propagates directly at modest stage counts
         assert _propagation_path(64, 6, 16, 64) == "direct"
+
+    @pytest.mark.parametrize("mix_fn", [alg1_stage_mixture, alg2_stage_mixture])
+    @pytest.mark.parametrize("stages", [2, 3])
+    def test_stages_compose_to_one_stage_of_the_power_mixture(self, ts, rng, mix_fn, stages):
+        """K stages of a stage stack equal one stage of its expanded K-fold
+        mixture: the form in which a K-stage Lemma-1 report takes a run."""
+        stage = mix_fn(ts, 0.1)
+        rhos = np.stack(
+            [pure_density(random_unit_vector(rng, 4)).mat, random_density_mat(rng, 4)]
+        )
+        composed = evolve_states(*word_stack(ts, stage), stages, rhos)
+        expanded = evolve_states(*word_stack(ts, mixture_power(stage, stages)), 1, rhos)
+        assert np.max(np.abs(composed - expanded)) <= 1e-12
 
     def test_public_entry_agrees_with_direct_path(self, ts, rng):
         mix = alg2_stage_mixture(ts, 0.1)

@@ -369,6 +369,16 @@ class TestScaling:
                 {"schemes": ["alg2"], "t_values": {"alg2": [1, 2, 4], "alg_2": "junk"}},
                 "unknown t_values key(s) ['alg_2']",
             ),
+            # Below eps 1e-8 the panel error's rounding floor would pick K.
+            (
+                {"schemes": ["strang"], "eps_values": [1e-3, 1e-9]},
+                "eps_values has 1e-09, below the eps floor 1e-08",
+            ),
+            ({"schemes": ["strang"], "fixed_eps": 1e-9}, "fixed_eps has 1e-09, below the eps floor 1e-08"),
+            (
+                {"schemes": ["strang"], "k_cap": 2**22 + 1},
+                "k_cap=4194305 is above the supported maximum 2**22",
+            ),
         ],
     )
     def test_rejected_config_exits_two(self, tmp_path, capsys, doc, message):

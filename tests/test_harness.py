@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -14,12 +15,14 @@ from splitsim.harness import (
     state_panel,
     sweep_error_vs_K,
 )
+import splitsim.harness
 from splitsim.channels import lemma1_report
 from splitsim.hamiltonians import random_termset, spin_chain_termset
 from splitsim.matkernel import pure_density
 from splitsim.schedules import (
     alg1_stage_mixture,
     alg2_stage_mixture,
+    mixture_power,
     strang_word,
     trotter_word,
     word_unitary,
@@ -303,7 +306,7 @@ class TestStageOrderRatios:
         stage_mixture = _STAGE_ORDERS[scheme][0]
         stages = ts.m if scheme == "alg1" else 1
         bounds = [
-            lemma1_report(ts, stage_mixture(ts, dt), stages, dt, psi0, psi0).bound
+            lemma1_report(ts, mixture_power(stage_mixture(ts, dt), stages), dt, psi0, psi0).bound
             for dt in _HALVING_DTS
         ]
         _assert_halving_ratios(bounds, scheme)
@@ -369,6 +372,30 @@ class TestScaling:
     def test_repeated_grid_value_rejected(self, kwargs, name):
         with pytest.raises(ValueError, match=f"{name} must not repeat a value"):
             scaling_cross_check(ScalingConfig(schemes=("strang",), **kwargs))
+
+    def test_at_most_the_fixed_t_log_and_one_other_are_alive(self, monkeypatch):
+        """The cells at fixed_t share one probe log; a cell at any other t has
+        a log of its own, dropped before the next cell builds one."""
+        live, built = set(), []
+
+        class CountedLog(splitsim.harness._ProbeLog):
+            def __init__(self, ev):
+                super().__init__(ev)
+                live.add(id(self))
+                weakref.finalize(self, live.discard, id(self))
+                built.append((ev.t, len(live)))
+
+        monkeypatch.setattr(splitsim.harness, "_ProbeLog", CountedLog)
+        scaling_cross_check(ScalingConfig(
+            schemes=("strang",), t_values=[0.5, 1.0, 2.0, 4.0], eps_values=(1e-2, 1e-3),
+            fixed_eps=1e-3, n_qubits=2,
+        ))
+        assert built == [(1.0, 1), (0.5, 2), (2.0, 2), (4.0, 2)]
+
+    def test_envelope_limits_are_accepted(self):
+        cfg = ScalingConfig(eps_values=(1e-3, 1e-8), fixed_eps=1e-8, k_cap=2**22)
+        assert (cfg.eps_values, cfg.fixed_eps, cfg.k_cap) == ((1e-3, 1e-8), 1e-8, 2**22)
+        assert ScalingConfig().k_cap == 2**22
 
     def test_t_values_may_name_an_unselected_scheme(self):
         cfg = ScalingConfig(schemes=("alg2",), t_values={"alg2": [1, 2, 4], "strang": "junk"})

@@ -1,8 +1,10 @@
 """The package's public surface: exports, result-record layouts, the
 benchmark tracer's targets and the bisection bracket of the scaling report."""
 
+import dataclasses
 import importlib
 import importlib.util
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -13,7 +15,7 @@ import splitsim
 import splitsim.cli  # noqa: F401  (loads every module the tracer patches)
 from splitsim.bounds import audit_schedule, lemma2_max
 from splitsim.channels import lemma1_report
-from splitsim.hamiltonians import spin_chain_termset
+from splitsim.hamiltonians import TermSet, spin_chain_termset
 from splitsim.harness import (
     RunConfig,
     ScalingConfig,
@@ -60,6 +62,15 @@ def test_package_exports_come_from_module_all():
         assert attr in exported and getattr(splitsim, attr) is exported[attr], attr
 
 
+def test_lemma1_report_takes_one_mixture_and_no_stage_count():
+    assert list(inspect.signature(lemma1_report).parameters) == ["ts", "mix", "t", "rho0", "psi0"]
+
+
+def test_term_set_is_built_from_its_terms_alone():
+    assert [f.name for f in dataclasses.fields(TermSet) if f.init] == ["terms"]
+    assert isinstance(inspect.getattr_static(TermSet, "dim"), property)
+
+
 def test_tracer_targets_resolve():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("bench_spans", path)
@@ -101,7 +112,7 @@ RECORD_KEYS = {
 def _bound_report():
     ts = spin_chain_termset(2, 1.0, 1.0, 1.0)
     psi0 = pure_density(state_panel(ts.dim, 1, 3)[0])
-    return lemma1_report(ts, alg2_stage_mixture(ts, 0.1), 1, 0.1, psi0, psi0)
+    return lemma1_report(ts, alg2_stage_mixture(ts, 0.1), 0.1, psi0, psi0)
 
 
 _CHAIN_CFG = RunConfig(scheme="trotter", t=1.0, k_list=(2, 4, 8), n_qubits=2)

@@ -95,7 +95,7 @@ def test_lemma1_report_matches_loops_over_the_product_mixture(k, rng):
     full = mixture_power(mix, k)
     u0 = exact_evolution(ts, k * dt)
     psi = pure_density(random_unit_vector(rng, 4))
-    rep = lemma1_report(ts, mix, k, k * dt, psi, psi)
+    rep = lemma1_report(ts, full, k * dt, psi, psi)
     assert rep.mean_dev == spectral_norm(_loop_mean(ts, full) - u0)
     assert rep.sq_dev == _loop_sq_dev(ts, full, u0)
     assert rep.observed_raw <= rep.bound + 1e-8
@@ -137,12 +137,12 @@ def test_lemma1_report_decomposes_only_the_target(eigh_calls, rng):
     ts = random_termset(4, 3, 1.0, seed=6)
     psi = pure_density(random_unit_vector(rng, 4))
     eigh_calls.clear()
-    lemma1_report(ts, alg2_stage_mixture(ts, 0.1), 1, 0.1, psi, psi)
+    lemma1_report(ts, alg2_stage_mixture(ts, 0.1), 0.1, psi, psi)
     assert len(eigh_calls) == 1  # exact_evolution of the summed Hamiltonian
 
 
-@pytest.mark.parametrize("k, stacks", [(1, 1), (2, 2)])
-def test_lemma1_report_builds_the_stage_stack_once(monkeypatch, rng, k, stacks):
+@pytest.mark.parametrize("k", [1, 2])
+def test_lemma1_report_builds_one_stack(monkeypatch, rng, k):
     import splitsim.channels as channels
 
     calls = []
@@ -155,5 +155,5 @@ def test_lemma1_report_builds_the_stage_stack_once(monkeypatch, rng, k, stacks):
     monkeypatch.setattr(channels, "word_stack", counting)
     ts = random_termset(4, 2, 1.0, seed=8)
     psi = pure_density(random_unit_vector(rng, 4))
-    lemma1_report(ts, alg2_stage_mixture(ts, 0.1), k, k * 0.1, psi, psi)
-    assert calls == [2, 4][:stacks]
+    lemma1_report(ts, mixture_power(alg2_stage_mixture(ts, 0.1), k), k * 0.1, psi, psi)
+    assert calls == [2**k]

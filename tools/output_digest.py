@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""One SHA-256 per benchmark CLI call, to compare the outputs of two trees.
+"""One SHA-256 per CLI call, to compare the outputs of two trees.
 
 Runs every call of the four ``perfbench/workloads.py`` workloads at full size
-for each of the seeds 1-3, in process, with one BLAS thread, and prints one
-line per call: workload, seed, call index, subcommand and the SHA-256 of its
-exit code, stdout, stderr and the bytes of each file it writes. The work directory's
+for each of the seeds 1-3, then the calls of ``EXTRA_CALLS``: three scaling
+configs that the benchmark's default grids leave out and a 1,000-instance
+Lemma-1 campaign. All run in process, with one BLAS thread. It prints one
+line per call: its name, its subcommand and the SHA-256 of its exit code,
+stdout, stderr and the bytes of each file it writes. The work directory's
 path is replaced by a placeholder before hashing, so two runs agree exactly
 when their outputs do.
 
@@ -30,6 +32,24 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
+# Name, then the scaling config or the bound-check arguments. The scaling
+# configs are the README example, list-form t_values with a couplings object
+# and a k_cap that leaves failures, and mapping-form t_values with a
+# panel_size; the campaign is the one that CI also runs in process and sharded.
+EXTRA_CALLS = (
+    ("scaling-readme", {"schemes": ["strang", "alg2"], "fixed_eps": 1e-4, "fixed_t": 1.0}),
+    ("scaling-list", {
+        "schemes": ["trotter", "alg2"], "t_values": [0.25, 0.5, 1.0],
+        "eps_values": [1e-2, 1e-3, 1e-4], "fixed_eps": 1e-3,
+        "couplings": {"jx": 0.8, "jz": 1.1, "hx": 0.6}, "k_cap": 256, "n_qubits": 3,
+    }),
+    ("scaling-mapping", {
+        "schemes": ["strang", "alg1"],
+        "t_values": {"strang": [2.0, 4.0, 8.0], "alg1": [0.5, 1.0, 2.0]},
+        "eps_values": [1e-3, 1e-4], "panel_size": 8, "seed": 3, "n_qubits": 2,
+    }),
+    ("bound-check-1000", ["--instances", "1000", "--seed", "5"]),
+)
 
 
 def _digest(cli, call, work: Path) -> str:
@@ -48,6 +68,18 @@ def _digest(cli, call, work: Path) -> str:
     record = {"rc": rc, "stdout": out.getvalue(), "stderr": err.getvalue(), "files": files}
     text = json.dumps(record, sort_keys=True).replace(str(work), "<work>")
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _extra_call(workloads, spec, work: Path):
+    """The CLI call of one ``EXTRA_CALLS`` entry, its inputs written to ``work``."""
+    out = str(work / "out.json")
+    if isinstance(spec, dict):
+        config = work / "scaling.json"
+        config.write_text(json.dumps(spec))
+        argv = ("scaling", "--config", str(config), "--out", out)
+    else:
+        argv = ("bound-check", *spec, "--out", out)
+    return workloads.Call(argv, (out,), check=None)
 
 
 def main(argv=None) -> int:
@@ -74,6 +106,11 @@ def main(argv=None) -> int:
                 for i, call in enumerate(workloads.build(name, seed, "full", work)):
                     print(f"{name} seed={seed} call={i} {call.argv[0]} {_digest(cli, call, work)}",
                           flush=True)
+    for name, spec in EXTRA_CALLS:
+        with tempfile.TemporaryDirectory() as tmp:
+            work = Path(tmp)
+            call = _extra_call(workloads, spec, work)
+            print(f"{name} {call.argv[0]} {_digest(cli, call, work)}", flush=True)
     return 0
 
 
