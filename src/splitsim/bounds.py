@@ -2,13 +2,15 @@
 
 Maximizes the alternating triple-product sum S over the constrained box slice
 {0 <= x_i <= 1, sum x_i = 2} (an exact integer grid scan, then coordinate
-ascent whose pair moves are solved as exact quadratics), audits arbitrary
-schedules for the per-stage obstruction.
+ascent whose pair moves are solved as exact quadratics, finished by Newton
+steps on the active face in pure-Python floats), audits arbitrary schedules
+for the per-stage obstruction.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -19,6 +21,7 @@ from .config import (
     LEMMA2_MAX_N,
     NORMALIZATION_ATOL,
     POLISH_IMPROVEMENT_TOL,
+    POLISH_NEWTON_GAIN,
 )
 from .schedules import Word
 from .series import interleaving_profile, s_value
@@ -35,6 +38,8 @@ _GRID_EXHAUSTIVE_MAX_N = 9
 _DEFAULT_GRID_SMALL = 40  # N <= 6
 _DEFAULT_GRID_LARGE = 20  # N in 7..9
 _LOCAL_STARTS = 8
+# Newton steps per polish round; no default run for n <= 40 took more than 9.
+_NEWTON_MAX_STEPS = 30
 
 
 @dataclass(frozen=True)
@@ -166,31 +171,155 @@ def _pair_move_max(
     return best_d, best_v
 
 
-def _polish(x0: Sequence[float]) -> tuple[np.ndarray, float]:
-    """Coordinate ascent over coordinate pairs on the sum-constrained slice.
+def _hessian(x: list) -> list[list]:
+    """Hessian of S at ``x``, from per-parity prefix sums.
 
-    Works on a list of Python floats, which :func:`splitsim.series.s_value`
-    evaluates without numpy; the arithmetic is the same as on an array.
+    S is multilinear, so the diagonal is zero and entry (a, b), a < b, sums
+    the third coordinate of every triple that holds both. At equal parity a
+    and b are the triple's ends, and the middle runs over the opposite parity
+    strictly between them. At opposite parity the triple is (a, b, k) with
+    k > b of a's parity, or (i, a, b) with i < a of b's parity. Each is a
+    range sum of one parity's prefix sums. Only + and - are used, so
+    Fraction entries give the exact matrix.
+    """
+    n = len(x)
+    # pre[p][k] sums the entries of parity p at indices below k.
+    pre = ([0], [0])
+    for k, v in enumerate(x):
+        pre[k % 2].append(pre[k % 2][-1] + v)
+        pre[1 - k % 2].append(pre[1 - k % 2][-1])
+    h = [[0] * n for _ in range(n)]
+    for a in range(n):
+        same, other = pre[a % 2], pre[1 - a % 2]
+        for b in range(a + 1, n):
+            if (b - a) % 2:
+                h[a][b] = h[b][a] = other[a] + same[n] - same[b + 1]
+            else:
+                h[a][b] = h[b][a] = other[b] - other[a + 1]
+    return h
+
+
+def _solve(a: list[list[float]], b: list[float]) -> list[float] | None:
+    """Solution z of a·z = b by Gaussian elimination with partial pivoting, or
+    None when a pivot is zero. Overwrites ``a`` and ``b``."""
+    m = len(b)
+    for c in range(m):
+        p = max(range(c, m), key=lambda r: abs(a[r][c]))
+        if a[p][c] == 0.0:
+            return None
+        a[c], a[p] = a[p], a[c]
+        b[c], b[p] = b[p], b[c]
+        pivot, tail = a[c][c], a[c][c + 1:]
+        for r in range(c + 1, m):
+            row = a[r]
+            f = row[c] / pivot
+            if f:
+                row[c + 1:] = [u - f * w for u, w in zip(row[c + 1:], tail)]
+                b[r] -= f * b[c]
+    z = [0.0] * m
+    for c in range(m - 1, -1, -1):
+        row = a[c]
+        z[c] = (b[c] - sum(map(operator.mul, row[c + 1:m], z[c + 1:]))) / row[c]
+    return z
+
+
+def _newton_step(
+    x: list, h: list[list], g: list, free: list[int], fixed: dict[int, float]
+) -> list | None:
+    """``x`` after one Newton step of S on a face of the slice, or None.
+
+    The coordinates of ``fixed`` (index -> bound) move to their bounds, those
+    of ``free`` move by the stationary point dx of the quadratic model under
+    sum(dx) = 0: H_FF·dx - λ·1 = -(g_F + H_FO·δ_O), sum(dx_F) = -sum(δ_O),
+    with δ_O the moves of the fixed coordinates. A free coordinate that the
+    step would push out of [0, 1] joins ``fixed`` at that bound and the step
+    is solved again. None when the system is singular or no coordinate stays
+    free.
+    """
+    fixed = dict(fixed)
+    while free:
+        delta = [(i, bound - x[i]) for i, bound in fixed.items()]
+        a = [[h[i][j] for j in free] + [-1.0] for i in free] + [[1.0] * len(free) + [0.0]]
+        rhs = [-g[i] - sum(h[i][k] * d for k, d in delta) for i in free]
+        rhs.append(-sum(d for _, d in delta))
+        z = _solve(a, rhs)
+        if z is None:
+            return None
+        out = {i: 0.0 if x[i] + dx < 0.0 else 1.0
+               for i, dx in zip(free, z) if not 0.0 <= x[i] + dx <= 1.0}
+        if not out:
+            y = list(x)
+            for i, dx in zip(free, z):
+                y[i] += dx
+            for i, bound in fixed.items():
+                y[i] = bound
+            return y
+        fixed.update(out)
+        free = [i for i in free if i not in out]
+    return None
+
+
+def _newton(x: list, best: float) -> tuple[list, float]:
+    """Newton steps of S on the active face of ``x`` while they raise S.
+
+    The active face frees every coordinate strictly inside (0, 1). When the
+    step on it does not raise S, one retry moves the smallest free
+    coordinate to 0.
+    """
+    for _ in range(_NEWTON_MAX_STEPS):
+        free = [i for i, v in enumerate(x) if 0.0 < v < 1.0]
+        if not free:
+            break
+        h = _hessian(x)
+        # Each triple holding a counts twice in (H x)_a, once per other member.
+        g = [0.5 * sum(map(operator.mul, row, x)) for row in h]
+        y = _newton_step(x, h, g, free, {})
+        if y is None or (v := s_value(y)) <= best:
+            smallest = min(free, key=x.__getitem__)
+            y = _newton_step(x, h, g, [i for i in free if i != smallest], {smallest: 0.0})
+            if y is None or (v := s_value(y)) <= best:
+                break
+        x, best = y, v
+    return x, best
+
+
+def _sweep(x: list, best: float) -> tuple[float, float]:
+    """One pass of pair moves over every i < j, in place; returns the new S
+    and the sweep's gain."""
+    start = best
+    n = len(x)
+    for i in range(n):
+        for j in range(i + 1, n):
+            lo = max(-x[i], x[j] - 1.0)
+            hi = min(1.0 - x[i], x[j])
+            if hi - lo < 1e-15:
+                continue
+            d, v = _pair_move_max(x, i, j, lo, hi)
+            if v > best:
+                x[i] += d
+                x[j] -= d
+                best = v
+    return best, best - start
+
+
+def _polish(x0: Sequence[float]) -> tuple[np.ndarray, float]:
+    """Local maximum of S on the sum-constrained slice, from ``x0``.
+
+    Pair-move sweeps run until one gains less than ``POLISH_NEWTON_GAIN``;
+    Newton steps on the active face then finish the climb. The polish ends on
+    a full sweep that gains less than ``POLISH_IMPROVEMENT_TOL``; otherwise it
+    sweeps again and retries Newton. Everything works on lists of Python
+    floats, with no numpy linear algebra, so the result does not depend on the
+    BLAS build.
     """
     x = np.asarray(x0, dtype=float).tolist()
-    n = len(x)
     best = s_value(x)
     while True:
-        sweep_gain = 0.0
-        for i in range(n):
-            for j in range(i + 1, n):
-                lo = max(-x[i], x[j] - 1.0)
-                hi = min(1.0 - x[i], x[j])
-                if hi - lo < 1e-15:
-                    continue
-                d, v = _pair_move_max(x, i, j, lo, hi)
-                if v > best:
-                    sweep_gain += v - best
-                    x[i] += d
-                    x[j] -= d
-                    best = v
-        if sweep_gain < POLISH_IMPROVEMENT_TOL:
+        best, gain = _sweep(x, best)
+        if gain < POLISH_IMPROVEMENT_TOL:
             return np.array(x), best
+        if gain < POLISH_NEWTON_GAIN:
+            x, best = _newton(x, best)
 
 
 def lemma2_max(n: int, grid_steps: int | None = None) -> Lemma2Result:
@@ -199,12 +328,15 @@ def lemma2_max(n: int, grid_steps: int | None = None) -> Lemma2Result:
     For n <= 9 the feasible set is enumerated on a grid of resolution
     2/grid_steps (defaults: 40 for n <= 6, 20 for n in 7..9), scored in exact
     integer counts from per-suffix statistics (:func:`_grid_argmax`), and the
-    best cell is polished by coordinate ascent; ties break toward the
-    lexicographically smallest grid point. A grid of more than
-    ``LEMMA2_GRID_MAX_ROWS`` points is rejected before it is scanned. Larger n
-    takes no grid: it polishes several seeded starting points instead. The
-    maximum always lands strictly below 1/3; at odd n the maximizer is the
-    uniform point x_i = 2/n. The polish costs about n**3, so n above
+    best cell is polished (:func:`_polish`: pair-move sweeps, then Newton
+    steps on the active face); ties break toward the lexicographically
+    smallest grid point. A grid of more than ``LEMMA2_GRID_MAX_ROWS`` points
+    is rejected before it is scanned. Larger n takes no grid: it polishes
+    several seeded starting points instead, and the first start with the
+    largest polished S wins. The maximum always lands strictly below 1/3; at
+    odd n the maximizer is the uniform point x_i = 2/n, and up to n = 64 every
+    default run lands within 1e-14 of (1/3)(1 - 1/n'**2), n' the largest odd
+    number <= n. Each sweep and each Newton solve costs about n**3, so n above
     ``LEMMA2_MAX_N`` is rejected before any work.
     """
     if n < 3:

@@ -28,6 +28,8 @@ NORMALIZATION_ATOL = 1e-9
 # Coordinate-ascent polish stops once a full sweep of pair moves improves the
 # objective by less than this.
 POLISH_IMPROVEMENT_TOL = 1e-10
+# Below this sweep gain the polish hands over to Newton steps on the active face.
+POLISH_NEWTON_GAIN = 1e-3
 
 # Sweep errors below this floor mean the instance is effectively commuting and
 # slope fits would be meaningless.
@@ -57,8 +59,9 @@ SUPPORTED_MAX_PANEL = 1024
 LEMMA2_GRID_MAX_ROWS = 4_000_000
 
 # Largest Lemma-2 coordinate count; the refined-local polish costs about n**3
-# and takes about 7.5 s at n=32 (one Python thread on a 2-vCPU VM).
-LEMMA2_MAX_N = 32
+# and takes 0.3-0.55 s at n=32 and 3.0-3.7 s at n=64 (one Python thread on a
+# 2-vCPU VM).
+LEMMA2_MAX_N = 64
 
 # Scaling envelope: rounding in the panel error picks K below eps 1e-8 (strang
 # K**2 * error 0.96 at K = 2**16, 85 at 2**20) and past K = 2**22 (trotter).

@@ -50,7 +50,7 @@ class TestLemma2Max:
         res = lemma2_max(11)
         assert res.method == "refined-local"
         assert res.max_s < THIRD
-        assert abs(res.max_s - lemma2_uniform_value(11)) <= 1e-6
+        assert abs(res.max_s - lemma2_uniform_value(11)) <= 1e-14
 
     def test_rejects_tiny_n(self):
         with pytest.raises(ValueError):

@@ -207,14 +207,14 @@ class TestVerifyLemma2:
         [
             (["--n", "9", "--grid", "40"], "357368319 points"),
             (["--n", "12", "--grid", "20"], "n <= 9"),
-            (["--n", "33"], "supported maximum of 32"),
-            (["--n", "200"], "supported maximum of 32"),
+            (["--n", "65"], "supported maximum of 64"),
+            (["--n", "200"], "supported maximum of 64"),
         ],
     )
     def test_oversized_or_ignored_grid_exits_two(self, capsys, argv, message):
         # The n=9, 40-step grid has 357,368,319 points (about 6.4 GB of int16);
         # it is counted and rejected before anything is built. The polish
-        # costs about n**3, so n above 32 is rejected before any work.
+        # costs about n**3, so n above 64 is rejected before any work.
         start = time.perf_counter()
         assert main(["verify-lemma2", *argv]) == EXIT_INVALID
         assert time.perf_counter() - start < 1.0

@@ -5,6 +5,7 @@ shares no code with the package.
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings
@@ -12,7 +13,14 @@ from hypothesis import strategies as st
 
 import pytest
 
-from splitsim.bounds import _grid_argmax, _pair_move_max, _polish, lemma2_max
+from splitsim.bounds import (
+    _grid_argmax,
+    _hessian,
+    _pair_move_max,
+    _polish,
+    _solve,
+    lemma2_max,
+)
 from splitsim.series import s_value
 
 THIRD = 1.0 / 3.0
@@ -35,6 +43,48 @@ def feasible_point(rng, n):
         x = rng.dirichlet(np.ones(n)) * 2.0
         if x.max() <= 1.0:
             return x
+
+
+class TestHessian:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pair_move_coefficients_on_fraction_points(self, seed):
+        # Along x + d*e_i - d*e_j, S is a quadratic in d whose d coefficient is
+        # g_i - g_j and whose d**2 coefficient is -H_ij (the diagonal is zero),
+        # with g = H x / 2. Fractions make every comparison exact.
+        rng = np.random.default_rng(seed)
+        for n in range(3, 10):
+            x = [Fraction(int(v), 97) for v in rng.integers(0, 98, size=n)]
+            h = _hessian(x)
+            g = [sum(hab * xb for hab, xb in zip(row, x)) / 2 for row in h]
+            assert all(h[a][a] == 0 for a in range(n))
+            for i, j in itertools.permutations(range(n), 2):
+
+                def along(d):
+                    y = list(x)
+                    y[i] += d
+                    y[j] -= d
+                    return brute_s(y)
+
+                f_minus, f0, f_plus = along(-1), along(0), along(1)
+                c1, c2 = (f_plus - f_minus) / 2, (f_plus + f_minus) / 2 - f0
+                assert c2 == -h[i][j]
+                assert c1 == g[i] - g[j]
+                assert along(2) == f0 + 2 * c1 + 4 * c2  # no cubic term
+
+
+class TestSolve:
+    def test_solves_past_a_zero_diagonal(self):
+        rng = np.random.default_rng(6)
+        for m in (2, 5, 12):
+            a = rng.standard_normal((m, m))
+            a[0, 0] = 0.0
+            b = rng.standard_normal(m)
+            z = _solve(a.tolist(), b.tolist())
+            assert np.allclose(a @ np.array(z), b, rtol=0, atol=1e-12)
+
+    def test_singular_system_gives_none(self):
+        assert _solve([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0]) is None
+        assert _solve([[0.0]], [1.0]) is None
 
 
 class TestSValue:
@@ -132,4 +182,11 @@ class TestLemma2Max:
         # n=10 is at least the closed-form uniform value at n=9.
         res = lemma2_max(10)
         assert res.method == "refined-local"
-        assert (1.0 - 1.0 / 81) / 3.0 - 1e-9 <= res.max_s < THIRD
+        assert (1.0 - 1.0 / 81) / 3.0 - 1e-15 <= res.max_s < THIRD
+
+    @pytest.mark.parametrize("n", [*range(3, 17), 32, 33])
+    def test_default_run_lands_on_the_closed_form(self, n):
+        # Numerically the maximum is the uniform value at the largest odd
+        # n' <= n (at even n, an odd uniform point padded with a zero).
+        odd = n if n % 2 else n - 1
+        assert abs(lemma2_max(n).max_s - (1.0 - 1.0 / odd**2) / 3.0) <= 1e-14
