@@ -2,7 +2,10 @@
 
 Provides validated term sets, a reproducible Gaussian random ensemble, a
 spin-chain preset with genuinely noncommuting parts, and an exact JSON
-writer.
+writer. Validation, decomposition and draws are stack-first
+(:func:`_term_spectra`, :func:`_random_term_stack`): :class:`TermSet` and
+:func:`random_termset` are their one-set case, and a stack of term sets
+gives each set's values bit for bit.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from .config import (
     HERMITIAN_OUTPUT_ATOL,
 )
 from .matkernel import (
-    _hermitian_violation,
+    _hermitian_violations,
     _spectral_exp,
     _spectrum,
     as_complex_matrix,
@@ -41,6 +44,18 @@ PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _MAX_REGENERATION_ATTEMPTS = 64
 
 
+def _term_spectra(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Validated spectra of stacked term sets: (..., m, d, d) terms give
+    (..., m, d) eigenvalues and (..., m, d, d) eigenvectors, each term's
+    bit for bit. Raises for the first term, in stack order, that is not
+    Hermitian, naming its place in its own term set."""
+    m, d = terms.shape[-3], terms.shape[-1]
+    for i, dev in enumerate(_hermitian_violations(terms.reshape(-1, d, d), HERMITIAN_OUTPUT_ATOL)):
+        if dev is not None:
+            raise ValueError(f"term {i % m + 1} is not Hermitian: deviation {dev:.3e}")
+    return _spectrum(terms)
+
+
 @dataclass(frozen=True)
 class TermSet:
     """m >= 2 Hermitian matrices of a common square shape.
@@ -58,23 +73,19 @@ class TermSet:
     def __post_init__(self):
         if len(self.terms) < 2:
             raise ValueError(f"a term set needs m >= 2 terms, got {len(self.terms)}")
-        frozen, spectra = [], []
+        checked = []
         for i, term in enumerate(self.terms):
             m = as_complex_matrix(term)
-            d = len(frozen[0]) if frozen else m.shape[0]
+            d = len(checked[0]) if checked else m.shape[0]
             if m.shape != (d, d):
                 raise ValueError(f"term {i + 1} has shape {m.shape}, expected ({d}, {d})")
-            dev = _hermitian_violation(m, HERMITIAN_OUTPUT_ATOL)
-            if dev is not None:
-                raise ValueError(f"term {i + 1} is not Hermitian: deviation {dev:.3e}")
-            m = m.copy()
-            m.flags.writeable = False
-            frozen.append(m)
-            w, v = _spectrum(m)
-            w.flags.writeable = v.flags.writeable = False
-            spectra.append((w, v))
-        object.__setattr__(self, "terms", tuple(frozen))
-        object.__setattr__(self, "spectra", tuple(spectra))
+            checked.append(m)
+        stack = np.array(checked)
+        w, v = _term_spectra(stack)
+        for a in (stack, w, v):
+            a.flags.writeable = False
+        object.__setattr__(self, "terms", tuple(stack))
+        object.__setattr__(self, "spectra", tuple(zip(w, v)))
 
     @property
     def dim(self) -> int:
@@ -91,21 +102,66 @@ class TermSet:
         return _spectral_exp(*self.spectra[index - 1], tau)
 
 
+def _totals(terms: np.ndarray) -> np.ndarray:
+    """Entrywise sum over the term axis of (..., m, d, d) terms, in term order."""
+    out = np.zeros(terms.shape[:-3] + terms.shape[-2:], dtype=complex)
+    for j in range(terms.shape[-3]):
+        out += terms[..., j, :, :]
+    return out
+
+
 def total(ts: TermSet) -> np.ndarray:
     """Entrywise sum of all terms (Hermitian by construction)."""
-    out = np.zeros((ts.dim, ts.dim), dtype=complex)
-    for term in ts.terms:
-        out += term
-    return out
+    return _totals(np.array(ts.terms))
+
+
+def _min_commutator_norms(terms: np.ndarray) -> np.ndarray:
+    """Smallest spectral norm of [H_j, H_k] over pairs j < k, for each term
+    set of an (n, m, d, d) stack; all the norms come from one stacked SVD."""
+    n, m, d, _ = terms.shape
+    pairs = [(j, k) for j in range(m) for k in range(j + 1, m)]
+    commutators = np.empty((n, len(pairs), d, d), dtype=complex)
+    for c, (j, k) in enumerate(pairs):
+        hj, hk = terms[:, j], terms[:, k]
+        commutators[:, c] = hj @ hk - hk @ hj
+    norms = np.array(spectral_norms(commutators.reshape(-1, d, d)))
+    return norms.reshape(n, len(pairs)).min(axis=1)
 
 
 def min_pairwise_commutator(ts: TermSet) -> float:
     """Smallest spectral norm of [H_j, H_k] over pairs j < k."""
-    h = ts.terms
-    commutators = [
-        h[j] @ h[k] - h[k] @ h[j] for j in range(ts.m) for k in range(j + 1, ts.m)
-    ]
-    return min(spectral_norms(np.stack(commutators)))
+    return float(_min_commutator_norms(np.array(ts.terms)[None])[0])
+
+
+def _random_term_stack(d: int, m: int, norm_bound: float, seeds) -> np.ndarray:
+    """The terms of :func:`random_termset` for each seed, stacked (n, m, d, d).
+
+    Every seed keeps its own generator, so each row is the term set that
+    seed draws alone; only the rows whose draw is degenerate are redrawn.
+    """
+    seeds = [int(s) for s in seeds]
+    out = np.empty((len(seeds), m, d, d), dtype=complex)
+    pending = np.arange(len(seeds))
+    for attempt in range(_MAX_REGENERATION_ATTEMPTS):
+        # Per term, the real part's d*d normals and then the imaginary part's.
+        draws = np.empty((len(pending), m, 2, d, d))
+        for row, i in enumerate(pending.tolist()):
+            np.random.default_rng(seeds[i] + attempt).standard_normal(out=draws[row])
+        a = draws[:, :, 0] + 1j * draws[:, :, 1]
+        terms = a + np.swapaxes(a.conj(), -1, -2)
+        terms /= 2.0
+        norms = np.array(spectral_norms(terms.reshape(-1, d, d))).reshape(-1, m)
+        terms *= (norm_bound / norms)[..., None, None]
+        kept = _min_commutator_norms(terms) >= DEGENERATE_COMMUTATOR_FLOOR
+        out[pending[kept]] = terms[kept]
+        pending = pending[~kept]
+        if not pending.size:
+            return out
+    raise ValueError(
+        f"no draw in {_MAX_REGENERATION_ATTEMPTS} attempts has every pairwise commutator norm "
+        f"at or above the degeneracy floor {DEGENERATE_COMMUTATOR_FLOOR:g} "
+        f"(norm_bound={norm_bound:g}; commutator norms scale as norm_bound**2)"
+    )
 
 
 def random_termset(d: int, m: int, norm_bound: float, seed: int) -> TermSet:
@@ -126,23 +182,7 @@ def random_termset(d: int, m: int, norm_bound: float, seed: int) -> TermSet:
         raise ValueError(f"term count must be >= 2, got {m}")
     if norm_bound <= 0:
         raise ValueError(f"norm bound must be positive, got {norm_bound}")
-
-    for attempt in range(_MAX_REGENERATION_ATTEMPTS):
-        rng = np.random.default_rng(int(seed) + attempt)
-        terms = []
-        for _ in range(m):
-            a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            terms.append((a + a.conj().T) / 2.0)
-        for h, norm in zip(terms, spectral_norms(np.stack(terms))):
-            h *= norm_bound / norm
-        ts = TermSet(tuple(terms))
-        if min_pairwise_commutator(ts) >= DEGENERATE_COMMUTATOR_FLOOR:
-            return ts
-    raise ValueError(
-        f"no draw in {_MAX_REGENERATION_ATTEMPTS} attempts has every pairwise commutator norm "
-        f"at or above the degeneracy floor {DEGENERATE_COMMUTATOR_FLOOR:g} "
-        f"(norm_bound={norm_bound:g}; commutator norms scale as norm_bound**2)"
-    )
+    return TermSet(tuple(_random_term_stack(d, m, norm_bound, [seed])[0]))
 
 
 def _site_operator(op: np.ndarray, site: int, n: int) -> np.ndarray:

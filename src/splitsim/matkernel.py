@@ -16,11 +16,15 @@ Cost notes, none of which changes a value:
   SVD; :func:`spectral_norms` takes a whole (n, d, d) stack in one LAPACK
   call, and each of its values equals the per-matrix one bit for bit;
 * a Hermiticity check bounds ``||m - m^dagger||`` by its Frobenius norm and
-  passes with no SVD when that is at most half the tolerance; otherwise it
-  falls back to the exact spectral deviation, so accept/reject decisions and
-  error messages are those of the exact check. A non-finite entry is rejected
-  first, as an infinite deviation. :func:`hermitian_deviation` stays public
-  as that exact value.
+  passes with no SVD when the Frobenius norms of a whole stack are together
+  at most half the tolerance; otherwise it falls back to the exact spectral
+  deviation, so accept/reject decisions and error messages are those of the
+  exact check. A non-finite entry is rejected first, as an infinite
+  deviation. :func:`hermitian_deviation` stays public as that exact value;
+* checks, decompositions and exponentials are stack-first: each takes an
+  (n, d, d) stack in one call and gives every matrix its one-matrix value
+  bit for bit. :class:`DensityMatrix`, :func:`expm_hermitian` and
+  :func:`pure_density` are the one-matrix case.
 
 All functions are pure and never mutate their arguments.
 """
@@ -43,6 +47,7 @@ __all__ = [
     "spectral_norms",
     "trace_distance",
     "trace_norm",
+    "trace_norms",
 ]
 
 
@@ -64,46 +69,72 @@ def hermitian_deviation(m: np.ndarray) -> float:
     return spectral_norm(m - m.conj().T)
 
 
-def _hermitian_violation(m: np.ndarray, atol: float) -> float | None:
-    """None when ``hermitian_deviation(m) <= atol``; otherwise that deviation.
+def _hermitian_violations(stack: np.ndarray, atol: float) -> list:
+    """Per matrix of an (n, d, d) stack: None when its ``hermitian_deviation``
+    is at most ``atol``, otherwise that deviation.
 
     An infinite or NaN entry is an infinite deviation, found entrywise before
-    any arithmetic on m (m - m^dagger could form inf - inf) or SVD (LAPACK
-    rejects such input). ``vdot(D, D)`` is ``||D||_F**2`` for D = m - m^dagger
-    and ``||D||_2 <= ||D||_F``, so ``||D||_F <= atol / 2`` passes without an
-    SVD, the factor 2 absorbing rounding in both norms. Anything else gets
-    the exact deviation.
+    any arithmetic on the matrix (m - m^dagger could form inf - inf) or SVD
+    (LAPACK rejects such input). For the differences D_i = m_i - m_i^dagger,
+    ``vdot(D, D)`` over the stack is the sum of the ``||D_i||_F**2`` and
+    ``||D_i||_2 <= ||D_i||_F``, so a sum of at most ``(atol / 2)**2`` passes
+    every matrix without an SVD, the factor 2 absorbing rounding in both
+    norms. Otherwise every matrix gets its exact deviation, all from one
+    stacked SVD.
     """
-    if not np.isfinite(m).all():
-        return math.inf
-    d = m - m.conj().T
-    if np.vdot(d, d).real <= 0.25 * atol * atol:
-        return None
-    dev = hermitian_deviation(m)
-    return dev if dev > atol else None
+    out = [None] * len(stack)
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    for i in np.flatnonzero(~finite).tolist():
+        out[i] = math.inf
+    index = np.flatnonzero(finite)
+    finite_stack = stack if index.size == len(stack) else stack[index]
+    diff = finite_stack - finite_stack.conj().transpose(0, 2, 1)
+    if np.vdot(diff, diff).real <= 0.25 * atol * atol:
+        return out
+    for i, dev in zip(index.tolist(), spectral_norms(diff)):
+        if dev > atol:
+            out[i] = dev
+    return out
 
 
-def _require_hermitian(m: np.ndarray, what: str, atol: float) -> None:
-    dev = _hermitian_violation(m, atol)
-    if dev is not None:
-        raise ValueError(
-            f"{what} must be Hermitian: ||m - m^dagger|| = {dev:.3e} > {atol:.1e}"
-        )
+def _require_hermitian(stack: np.ndarray, what: str, atol: float) -> None:
+    """Raises for the first matrix of an (n, d, d) stack that is not Hermitian."""
+    for dev in _hermitian_violations(stack, atol):
+        if dev is not None:
+            raise ValueError(
+                f"{what} must be Hermitian: ||m - m^dagger|| = {dev:.3e} > {atol:.1e}"
+            )
 
 
 def _spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``eigh`` of a validated Hermitian matrix, eigenvector columns renormalized.
+    """``eigh`` of a validated Hermitian matrix or (..., d, d) stack, with
+    eigenvector columns renormalized.
 
     The renormalization keeps every exponential built from the spectrum
-    unitary to machine precision.
+    unitary to machine precision. A stack gives each matrix's values bit for
+    bit.
     """
     w, v = np.linalg.eigh(m)
-    return w, v / np.linalg.norm(v, axis=0, keepdims=True)
+    v /= np.linalg.norm(v, axis=-2, keepdims=True)
+    return w, v
 
 
-def _spectral_exp(w: np.ndarray, v: np.ndarray, tau: float) -> np.ndarray:
-    """``exp(-1j * a * tau)`` from the spectrum ``(w, v)`` of ``a``."""
-    return (v * np.exp(-1j * w * float(tau))) @ v.conj().T
+def _spectral_exp(w: np.ndarray, v: np.ndarray, tau) -> np.ndarray:
+    """``exp(-1j * a * tau)`` from the spectrum ``(w, v)`` of ``a``.
+
+    Takes one spectrum and a number, or stacked spectra (..., d) and
+    (..., d, d) with durations of the leading shape; each exponential is the
+    one-matrix value bit for bit.
+    """
+    tau = np.asarray(tau, dtype=float)[..., None]
+    return (v * np.exp(-1j * w * tau)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+
+
+def _expm_hermitians(stack: np.ndarray, taus) -> np.ndarray:
+    """:func:`expm_hermitian` of each matrix of an (n, d, d) stack, with its
+    own duration."""
+    _require_hermitian(stack, "exponential generator", HERMITIAN_INPUT_ATOL)
+    return _spectral_exp(*_spectrum(stack), taus)
 
 
 def expm_hermitian(a, tau: float) -> np.ndarray:
@@ -115,8 +146,7 @@ def expm_hermitian(a, tau: float) -> np.ndarray:
     """
     m = as_complex_matrix(a)
     _require_square(m, "exponential generator")
-    _require_hermitian(m, "exponential generator", HERMITIAN_INPUT_ATOL)
-    return _spectral_exp(*_spectrum(m), tau)
+    return _expm_hermitians(m[None], float(tau))[0]
 
 
 def spectral_norm(m) -> float:
@@ -142,6 +172,45 @@ def trace_norm(m) -> float:
     return float(np.linalg.svd(as_complex_matrix(m), compute_uv=False).sum())
 
 
+def trace_norms(stack) -> list[float]:
+    """Sum of singular values of each matrix of an (n, d, d) stack.
+
+    One LAPACK call for the whole stack; each value equals :func:`trace_norm`
+    of that matrix exactly.
+    """
+    return np.linalg.svd(stack, compute_uv=False).sum(axis=1).tolist()
+
+
+def _require_densities(stack: np.ndarray, atol: float) -> None:
+    """Raises the :class:`DensityMatrix` error of the first matrix of an
+    (n, d, d) stack that is not a density matrix within ``atol``.
+
+    Checks Hermiticity, then unit trace, then positive semidefiniteness, each
+    once for the whole stack.
+    """
+    herm = _hermitian_violations(stack, atol)
+    ok = [i for i, dev in enumerate(herm) if dev is None]
+    rest = stack if len(ok) == len(stack) else stack[ok]
+    tr_dev = np.abs(np.trace(rest, axis1=1, axis2=2) - 1.0).tolist()
+    min_eig = np.linalg.eigvalsh((rest + rest.conj().transpose(0, 2, 1)) / 2.0)
+    min_eig = min_eig.min(axis=1, initial=math.inf).tolist()
+    checked = dict(zip(ok, zip(tr_dev, min_eig)))
+    for i, dev in enumerate(herm):
+        if dev is not None:
+            raise ValueError(
+                f"density matrix is not Hermitian: deviation {dev:.3e} > {atol:.1e}"
+            )
+        tr, low = checked[i]
+        if tr > atol:
+            raise ValueError(
+                f"density matrix does not have unit trace: |Tr - 1| = {tr:.3e} > {atol:.1e}"
+            )
+        if low < -atol:
+            raise ValueError(
+                f"density matrix is not PSD: min eigenvalue {low:.3e} < -{atol:.1e}"
+            )
+
+
 class DensityMatrix:
     """A validated density matrix.
 
@@ -155,21 +224,7 @@ class DensityMatrix:
     def __init__(self, mat, *, atol: float = DENSITY_ATOL):
         m = as_complex_matrix(mat)
         _require_square(m, "density matrix")
-        dev = _hermitian_violation(m, atol)
-        if dev is not None:
-            raise ValueError(
-                f"density matrix is not Hermitian: deviation {dev:.3e} > {atol:.1e}"
-            )
-        tr_dev = abs(complex(np.trace(m)) - 1.0)
-        if tr_dev > atol:
-            raise ValueError(
-                f"density matrix does not have unit trace: |Tr - 1| = {tr_dev:.3e} > {atol:.1e}"
-            )
-        min_eig = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0).min())
-        if min_eig < -atol:
-            raise ValueError(
-                f"density matrix is not PSD: min eigenvalue {min_eig:.3e} < -{atol:.1e}"
-            )
+        _require_densities(m[None], atol)
         m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "_mat", m)
@@ -186,14 +241,19 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim})"
 
 
+def _pure_densities(vecs: np.ndarray) -> np.ndarray:
+    """Unvalidated |v><v| for each row of an (n, d) array, every row
+    normalized first by its own one-dimensional norm."""
+    norms = [np.linalg.norm(v) for v in vecs]
+    if 0 in norms:
+        raise ValueError("cannot build a pure state from the zero vector")
+    v = vecs / np.array(norms)[:, None]
+    return v[:, :, None] * v.conj()[:, None, :]
+
+
 def pure_density(vec) -> DensityMatrix:
     """Density matrix of a pure state; the vector is normalized first."""
-    v = np.asarray(vec, dtype=complex).reshape(-1)
-    n = np.linalg.norm(v)
-    if n == 0:
-        raise ValueError("cannot build a pure state from the zero vector")
-    v = v / n
-    return DensityMatrix(np.outer(v, v.conj()))
+    return DensityMatrix(_pure_densities(np.asarray(vec, dtype=complex).reshape(1, -1))[0])
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:

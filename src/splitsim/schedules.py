@@ -19,6 +19,7 @@ import numpy as np
 
 from .config import PROBABILITY_SUM_ATOL
 from .hamiltonians import TermSet
+from .matkernel import _spectral_exp
 
 __all__ = [
     "UnitaryMixture",
@@ -77,20 +78,62 @@ class Word:
         return Word(tuple((k, tau * factor) for k, tau in self.steps))
 
 
+def _word_plan(words, m: int) -> tuple[tuple, tuple]:
+    """Words as tuples of slot numbers, and their slots: each distinct
+    (term index, duration) step, in order of first appearance.
+
+    The stage mixtures of one scheme and term count share their words'
+    slot numbers; only the slot durations differ.
+    """
+    slots: dict[tuple[int, float], int] = {}
+    plan = []
+    for w in words:
+        bad = w.max_index()
+        if bad > m:
+            raise ValueError(f"word references term {bad} but the term set has m={m}")
+        plan.append(tuple(slots.setdefault(step, len(slots)) for step in w.steps))
+    return tuple(plan), tuple(slots)
+
+
+def _stacked_spectra(ts: TermSet) -> tuple[np.ndarray, np.ndarray]:
+    """A term set's spectra as a stack of one: (1, m, d) and (1, m, d, d)."""
+    w, v = zip(*ts.spectra)
+    return np.array(w)[None], np.array(v)[None]
+
+
+def _word_unitaries(w: np.ndarray, v: np.ndarray, words: tuple, slots: tuple, taus) -> np.ndarray:
+    """Word unitaries (n, M, d, d) of n term sets given by their stacked
+    spectra (n, m, d) and (n, m, d, d), all with the words of one
+    :func:`_word_plan`; ``taus`` (n, S) holds each set's slot durations.
+
+    Every slot is exponentiated once, and each word multiplies its factors
+    in listed order from the identity. Each unitary is bit for bit the one
+    its term set and word give alone.
+    """
+    k = np.array([index for index, _ in slots], dtype=int) - 1
+    exps = _spectral_exp(w[:, k], v[:, k], taus)
+    n, d = w.shape[0], w.shape[-1]
+    eye = np.eye(d, dtype=complex)
+    out = np.empty((n, len(words), d, d), dtype=complex)
+    for j, word in enumerate(words):
+        u = eye
+        for slot in word:
+            u = u @ exps[:, slot]
+        out[:, j] = u
+    return out
+
+
 def word_unitary(ts: TermSet, w: Word) -> np.ndarray:
     """Evaluate a word to its unitary.
 
     Factors multiply in listed order (first step leftmost), so the product is
     ``exp(-i H_{k_1} t_1) @ exp(-i H_{k_2} t_2) @ ...``; an empty word gives
-    the identity. Each factor comes from the term set's stored spectra.
+    the identity. Each distinct factor is built once from the term set's
+    stored spectra.
     """
-    bad = w.max_index()
-    if bad > ts.m:
-        raise ValueError(f"word references term {bad} but the term set has m={ts.m}")
-    u = np.eye(ts.dim, dtype=complex)
-    for k, tau in w.steps:
-        u = u @ ts.exp(k, tau)
-    return u
+    words, slots = _word_plan([w], ts.m)
+    taus = [[tau for _, tau in slots]]
+    return _word_unitaries(*_stacked_spectra(ts), words, slots, taus)[0, 0]
 
 
 def _merge_adjacent(steps: list[tuple[int, float]]) -> tuple[tuple[int, float], ...]:

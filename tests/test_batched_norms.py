@@ -3,8 +3,8 @@
 Oracles: ``np.linalg.norm(x, 2)`` per matrix for every stacked norm, and
 ``hermitian_deviation`` (the exact spectral deviation) for every Hermiticity
 decision and error message. The campaign check recomputes whole Lemma-1
-reports with the per-matrix norms patched back in, so it needs no stored
-values and holds on any machine.
+reports with the per-matrix spectral and trace norms patched back in, so it
+needs no stored values and holds on any machine.
 """
 
 import math
@@ -27,11 +27,13 @@ from splitsim.hamiltonians import TermSet, random_termset
 from splitsim.harness import lemma1_campaign
 from splitsim.matkernel import (
     DensityMatrix,
-    _hermitian_violation,
+    _hermitian_violations,
+    _require_densities,
     expm_hermitian,
     hermitian_deviation,
     spectral_norm,
     spectral_norms,
+    trace_norm,
 )
 from splitsim.schedules import alg2_stage_mixture
 
@@ -40,6 +42,10 @@ from conftest import random_density_mat, random_unit_vector
 
 def _per_matrix(stack):
     return [float(np.linalg.norm(x, 2)) for x in stack]
+
+
+def _hermitian_violation(m, atol):
+    return _hermitian_violations(m[None], atol)[0]
 
 
 class TestSpectralNorms:
@@ -156,6 +162,30 @@ class TestHermitianViolation:
         with pytest.raises(np.linalg.LinAlgError):
             hermitian_deviation(m)
 
+    @pytest.mark.filterwarnings("error")
+    def test_stack_gives_each_matrix_its_own_value(self, rng):
+        atol = DENSITY_ATOL
+        mats = [_perturbed_density(rng, 4, rank, size * atol)
+                for rank in ("rank1", "full") for size in SIZES]
+        mats[3] = mats[3].copy()
+        mats[3][1, 2] = np.inf
+        stacked = _hermitian_violations(np.array(mats), atol)
+        assert stacked == [_hermitian_violation(m, atol) for m in mats]
+        assert stacked[3] == math.inf and stacked[0] is None and stacked[-1] is not None
+
+
+def test_density_stack_raises_the_first_bad_matrix_own_error(rng):
+    good = random_density_mat(rng, 3)
+    untraced = 2.0 * good
+    non_psd = np.diag([1.5, -0.5, 0.0]).astype(complex)
+    for stack, first in ([good, non_psd, untraced], non_psd), ([untraced, non_psd], untraced):
+        with pytest.raises(ValueError) as want:
+            DensityMatrix(first)
+        with pytest.raises(ValueError) as got:
+            _require_densities(np.array(stack), DENSITY_ATOL)
+        assert str(got.value) == str(want.value)
+    _require_densities(np.array([good, good]), DENSITY_ATOL)
+
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_campaign_reports_equal_the_per_matrix_norm_reports(monkeypatch, seed):
@@ -163,20 +193,22 @@ def test_campaign_reports_equal_the_per_matrix_norm_reports(monkeypatch, seed):
         seen = []
 
         def record(*args, **kwargs):
-            seen.append(real_report(*args, **kwargs))
-            return seen[-1]
+            seen.extend(real_reports(*args, **kwargs))
+            return seen[len(seen) - len(args[0]):]
 
         with monkeypatch.context() as mp:
-            mp.setattr(splitsim.harness, "lemma1_report", record)
+            mp.setattr(splitsim.harness, "_lemma1_reports", record)
             campaign = lemma1_campaign(100, seed)
         return campaign.to_json(), seen
 
-    real_report = splitsim.harness.lemma1_report
+    real_reports = splitsim.harness._lemma1_reports
     batched = reports()
     with monkeypatch.context() as mp:
         for mod in (splitsim.matkernel, splitsim.hamiltonians, splitsim.channels):
             mp.setattr(mod, "spectral_norms", _per_matrix)
+        for mod in (splitsim.matkernel, splitsim.hamiltonians):
             mp.setattr(mod, "spectral_norm", lambda x: float(np.linalg.norm(x, 2)))
+        mp.setattr(splitsim.channels, "trace_norms", lambda s: [trace_norm(x) for x in s])
         looped = reports()
     assert len(batched[1]) == 100
     assert batched == looped

@@ -6,7 +6,7 @@ must give the same report. The shard count is forced through the private
 Forked shards must be gone when a campaign returns or raises, running or
 zombie, and a shard's exception, floating-point ones included, must reach
 the caller. A shard killed by a signal is an error, not a wait, and the
-campaign keeps no instance it has drawn.
+campaign keeps no more than one evaluation chunk of the instances it draws.
 """
 
 import functools
@@ -70,9 +70,9 @@ def test_shard_count_follows_usable_cores(monkeypatch):
 
 
 def _raise_in(where, exc_factory):
-    """lemma1_report that fails in the caller (``where == "caller"``) or in
-    every forked worker, and works elsewhere."""
-    real, caller = splitsim.harness.lemma1_report, os.getpid()
+    """Stacked Lemma-1 kernel that fails in the caller (``where == "caller"``)
+    or in every forked worker, and works elsewhere."""
+    real, caller = splitsim.harness._lemma1_reports, os.getpid()
 
     def report(*args, **kwargs):
         if (os.getpid() == caller) == (where == "caller"):
@@ -93,7 +93,7 @@ def _overflow():
 @pytest.mark.parametrize("where", ["caller", "worker"])
 def test_shard_error_reaches_the_caller(monkeypatch, where):
     monkeypatch.setattr(splitsim.harness, "_shard_count", lambda n: 2)
-    monkeypatch.setattr(splitsim.harness, "lemma1_report", _raise_in(where, _value_error))
+    monkeypatch.setattr(splitsim.harness, "_lemma1_reports", _raise_in(where, _value_error))
     with pytest.raises(ValueError, match="shard failed"):
         lemma1_campaign(26, 0)
     _assert_no_child()
@@ -112,7 +112,7 @@ def test_failed_fork_reaches_the_caller(monkeypatch):
 
 def test_worker_runs_under_the_callers_errstate(monkeypatch):
     monkeypatch.setattr(splitsim.harness, "_shard_count", lambda n: 2)
-    monkeypatch.setattr(splitsim.harness, "lemma1_report", _raise_in("worker", _overflow))
+    monkeypatch.setattr(splitsim.harness, "_lemma1_reports", _raise_in("worker", _overflow))
     with np.errstate(over="raise"):
         with pytest.raises(FloatingPointError):
             lemma1_campaign(26, 0)
@@ -139,7 +139,7 @@ def alarm():
 
 def test_killed_shard_is_an_error_not_a_wait(monkeypatch, capsys, tmp_path, alarm):
     monkeypatch.setattr(splitsim.harness, "_shard_count", lambda n: 2)
-    monkeypatch.setattr(splitsim.harness, "lemma1_report", _raise_in("worker", _sigkill_self))
+    monkeypatch.setattr(splitsim.harness, "_lemma1_reports", _raise_in("worker", _sigkill_self))
     with pytest.raises(ChildProcessError, match="instance 13 was killed by SIGKILL"):
         lemma1_campaign(26, 0)
     _assert_no_child()
@@ -154,19 +154,21 @@ def test_killed_shard_is_an_error_not_a_wait(monkeypatch, capsys, tmp_path, alar
     _assert_no_child()
 
 
-def test_campaign_keeps_no_drawn_instance(monkeypatch):
-    n_instances, live = 2000, []
+@pytest.mark.parametrize("n_instances", [2000, 5000])
+def test_campaign_keeps_no_drawn_instance(monkeypatch, n_instances):
+    live = []
 
-    def evaluate(inst):
-        if inst.index == n_instances - 1:
+    def evaluate(chunk):
+        if chunk[-1].index == n_instances - 1:
             objects = gc.get_objects()
             live.append(sum(isinstance(o, splitsim.harness._Instance) for o in objects))
         return [], 0, 0.5, 1.0, 1.0
 
     monkeypatch.setattr(splitsim.harness, "_shard_count", lambda n: 1)
-    monkeypatch.setattr(splitsim.harness, "_evaluate_instance", evaluate)
+    monkeypatch.setattr(splitsim.harness, "_evaluate_chunk", evaluate)
     assert lemma1_campaign(n_instances, 0).best_observed_over_bound == 0.5
-    assert len(live) == 1 and live[0] <= 2
+    # The last chunk alone, as large at 5000 instances as at 2000.
+    assert live == [splitsim.harness._CHUNK_INSTANCES]
 
 
 def test_cli_import_leaves_multiprocessing_out():

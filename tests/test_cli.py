@@ -175,6 +175,13 @@ class TestBoundCheck:
         assert main(["bound-check", "--instances", "1", "--seed", "0"]) == EXIT_ASSERTION
         assert "violated" in capsys.readouterr().err
 
+    def test_negative_seed_is_named(self, tmp_path, capsys):
+        out = tmp_path / "campaign.json"
+        argv = ["bound-check", "--instances", "5", "--seed", "-1", "--out", str(out)]
+        assert main(argv) == EXIT_INVALID
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
 
 class TestVerifyLemma2:
     def test_n3(self, capsys):

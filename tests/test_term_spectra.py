@@ -22,6 +22,7 @@ from splitsim.schedules import (
     alg1_stage_mixture,
     alg2_stage_mixture,
     mixture_power,
+    strang_word,
     word_unitary,
 )
 
@@ -122,7 +123,7 @@ def eigh_calls(monkeypatch):
 
 def test_decomposed_once_per_term_when_built(eigh_calls):
     ts = random_termset(4, 3, 1.0, seed=6)
-    assert len(eigh_calls) == ts.m
+    assert eigh_calls == [(ts.m, 4, 4)]  # one stacked call, each term once
 
 
 def test_word_unitary_takes_no_decomposition(eigh_calls):
@@ -157,3 +158,48 @@ def test_lemma1_report_builds_one_stack(monkeypatch, rng, k):
     psi = pure_density(random_unit_vector(rng, 4))
     lemma1_report(ts, mixture_power(alg2_stage_mixture(ts, 0.1), k), k * 0.1, psi, psi)
     assert calls == [2**k]
+
+
+def _loop_word(ts, w):
+    """The product of the term exponentials in listed order, one per step."""
+    u = np.eye(ts.dim, dtype=complex)
+    for k, tau in w.steps:
+        u = u @ ts.exp(k, tau)
+    return u
+
+
+@pytest.fixture
+def exps_built(monkeypatch):
+    import splitsim.schedules as schedules
+
+    built = []
+    real = schedules._spectral_exp
+
+    def counting(w, v, tau):
+        built.append(np.size(tau))
+        return real(w, v, tau)
+
+    monkeypatch.setattr(schedules, "_spectral_exp", counting)
+    return built
+
+
+@pytest.mark.parametrize(
+    "stage, m, n_exps",
+    [(alg2_stage_mixture, 3, 3), (alg2_stage_mixture, 4, 4), (alg1_stage_mixture, 3, 3)],
+)
+def test_word_stack_exponentiates_each_distinct_step_once(exps_built, stage, m, n_exps):
+    ts = random_termset(4, m, 1.0, seed=9)
+    mix = stage(ts, 0.1)
+    probs, us = word_stack(ts, mix)
+    assert exps_built == [n_exps]
+    for u, (_, w) in zip(us, mix.entries):
+        assert np.array_equal(u, _loop_word(ts, w))
+
+
+def test_word_unitary_exponentiates_each_distinct_step_once(exps_built):
+    ts = random_termset(5, 3, 1.0, seed=10)
+    w = strang_word(ts, 0.1, 2)  # 9 steps over 4 distinct (term, duration) factors
+    u = word_unitary(ts, w)
+    assert exps_built == [4] and len(w) == 9
+    assert np.array_equal(u, _loop_word(ts, w))
+    assert np.array_equal(word_unitary(ts, Word(())), np.eye(5))

@@ -3,8 +3,8 @@
 
 Runs every call of the four ``perfbench/workloads.py`` workloads at full size
 for each of the seeds 1-3, then the calls of ``EXTRA_CALLS``: three scaling
-configs that the benchmark's default grids leave out and a 1,000-instance
-Lemma-1 campaign. All run in process, with one BLAS thread. It prints one
+configs that the benchmark's default grids leave out and two Lemma-1
+campaigns. All run in process, with one BLAS thread. It prints one
 line per call: its name, its subcommand and the SHA-256 of its exit code,
 stdout, stderr and the bytes of each file it writes. The work directory's
 path is replaced by a placeholder before hashing, so two runs agree exactly
@@ -35,7 +35,9 @@ SEEDS = (1, 2, 3)
 # Name, then the scaling config or the bound-check arguments. The scaling
 # configs are the README example, list-form t_values with a couplings object
 # and a k_cap that leaves failures, and mapping-form t_values with a
-# panel_size; the campaign is the one that CI also runs in process and sharded.
+# panel_size. The 1,000-instance campaign is the one that CI also runs in
+# process and sharded; the 2,500-instance one has shards longer than one
+# evaluation chunk, so its shards cross chunk boundaries.
 EXTRA_CALLS = (
     ("scaling-readme", {"schemes": ["strang", "alg2"], "fixed_eps": 1e-4, "fixed_t": 1.0}),
     ("scaling-list", {
@@ -49,6 +51,7 @@ EXTRA_CALLS = (
         "eps_values": [1e-3, 1e-4], "panel_size": 8, "seed": 3, "n_qubits": 2,
     }),
     ("bound-check-1000", ["--instances", "1000", "--seed", "5"]),
+    ("bound-check-2500", ["--instances", "2500", "--seed", "11"]),
 )
 
 
