@@ -21,13 +21,13 @@ stacked mixture to a stack of density matrices along one of two exact paths:
 * **real Liouville powering**: the stage is written in an orthonormal basis
   of Hermitian operators, where its d**2 x d**2 matrix is real. It is built
   from one product over the stacked word unitaries plus an index map, raised
-  to the K-th power by binary squaring in float64, and each set bit of K is
-  applied to the panel's coordinate columns rather than folded into a full
-  product;
+  to the K-th power by binary squaring in float64 (alternating between two
+  buffers), and each set bit of K is applied to the panel's coordinate
+  columns rather than folded into a full product;
 * **fused direct propagation**: the panel ``R = [rho_1|...|rho_n]`` (d x nd)
   goes through K stages of ``rho' = sum_w p_w U_w (U_w rho)^dagger`` (valid
   for Hermitian rho), two large products and one block conjugate-transpose
-  copy per stage.
+  pass per stage, each written into buffers allocated once per call.
 
 The path is the one with the smaller flop count, a pure function of
 (d, mixture size, panel size, K); it never depends on timing or settings.
@@ -42,6 +42,7 @@ Envelope: dim <= 64 and, for alg2, m <= 6 (720 words per stage).
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import asdict, dataclass
 from functools import lru_cache
@@ -110,8 +111,9 @@ def apply_channel(s: np.ndarray, rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(out, atol=CHANNEL_OUTPUT_ATOL)
 
 
-# Direct propagation splits the mixture into word blocks so the (words*d) x
-# (n*d) intermediate stays under this many complex entries (32 MB).
+# Direct propagation splits the mixture into word blocks so each of its two
+# (words*d) x (n*d) buffers, the block product and its conjugate transpose,
+# stays under this many complex entries (32 MB each).
 _DIRECT_BLOCK_ENTRIES = 2**21
 
 _SQRT2 = float(np.sqrt(2.0))
@@ -151,24 +153,34 @@ def _evolve_direct(probs: np.ndarray, us: np.ndarray, stages: int, rhos: np.ndar
     Leading batch axes of ``probs`` (..., M), ``us`` (..., M, d, d) and
     ``rhos`` (..., n, d, d) are independent problems; every product keeps
     the operand shapes of one problem, so each gives its unbatched bits.
+    The block product, its conjugate transpose and the panel are written into
+    buffers allocated once per call; ``rhos`` is only read.
     """
     *batch, n_words, d, _ = us.shape
     n = rhos.shape[-3]
-    block = max(1, _DIRECT_BLOCK_ENTRIES // (n * d * d))
+    block = min(n_words, max(1, _DIRECT_BLOCK_ENTRIES // (n * d * d)))
     pieces = []
     for lo in range(0, n_words, block):
         u = us[..., lo : lo + block, :, :]
         weighted = np.swapaxes(probs[..., lo : lo + block, None, None] * u, -3, -2)
         pieces.append((u.reshape(*batch, -1, d), weighted.reshape(*batch, d, -1)))
+    per_row = math.prod(batch) * n * d
+    z_buf, zh_buf = (np.empty(block * d * per_row, dtype=complex) for _ in range(2))
+    panels = [np.empty((*batch, d, n * d), dtype=complex) for _ in range(2)]
+    term = np.empty_like(panels[0]) if len(pieces) > 1 else None
     r = np.swapaxes(rhos, -3, -2).reshape(*batch, d, n * d)  # [rho_1|...|rho_n]
-    for _ in range(stages):
-        acc = None
-        for ustack, weighted in pieces:
-            z = ustack @ r  # blocks U_w rho_j
-            zh = np.swapaxes(z.reshape(*batch, -1, d, n, d), -3, -1).conj()
-            term = weighted @ zh.reshape(*batch, -1, n * d)
-            acc = term if acc is None else acc + term
-        r = acc
+    for stage in range(stages):
+        out = panels[stage % 2]
+        for i, (ustack, weighted) in enumerate(pieces):
+            rows = ustack.shape[-2]
+            z = z_buf[: rows * per_row].reshape(*batch, rows, n * d)
+            np.matmul(ustack, r, out=z)  # blocks U_w rho_j
+            zh = zh_buf[: z.size].reshape(*batch, rows // d, d, n, d)
+            np.conjugate(np.swapaxes(z.reshape(zh.shape), -3, -1), out=zh)
+            np.matmul(weighted, zh.reshape(z.shape), out=out if i == 0 else term)
+            if i:
+                out += term
+        r = out
     return np.swapaxes(r.reshape(*batch, d, n, d), -3, -2).copy()
 
 
@@ -190,19 +202,33 @@ def _liouville_matrix(probs: np.ndarray, us: np.ndarray) -> np.ndarray:
     Entry (k, l) is Tr(B_k Phi(B_l)). With G = X^T conj(X) for the rows X_w,
     sqrt(p_w) U_w flattened row by row, Phi(B)[a, b] = sum_{c,e} G[ac, be]
     B[c, e], so only an index map over the diagonal and upper pairs remains.
+    Each of the three column blocks (images of the diagonal, symmetric and
+    antisymmetric basis elements) is written straight into the real output,
+    its diagonal rows, then sqrt2 times its real and imaginary upper rows.
     """
     n_words, d, _ = us.shape
     x = np.sqrt(probs)[:, None] * us.reshape(n_words, d * d)
     g = (x.T @ x.conj()).reshape(d, d, d, d)  # g[a, c, b, e]
     first, second = _basis_pairs(d)
     a, b = first[:, None], second[:, None]  # output entry (a, b)
-    c, e = first[None, :], second[None, :]  # input matrix unit E_ce
-    f, f_swap = g[a, c, b, e], g[a, e, b, c]  # Phi(E_ce), Phi(E_ec) at (a, b)
-    fu, fs = f[:, d:], f_swap[:, d:]
-    image = np.concatenate(
-        [f[:, :d], (fu + fs) / _SQRT2, 1j * (fu - fs) / _SQRT2], axis=1
-    )  # image[(a, b), l] = Phi(B_l)[a, b]
-    return np.concatenate([image[:d].real, _SQRT2 * image[d:].real, _SQRT2 * image[d:].imag])
+    c, e = first[None, d:], second[None, d:]  # input matrix unit E_ce, c < e
+    fu, fs = g[a, c, b, e], g[a, e, b, c]  # Phi(E_ce), Phi(E_ec) at (a, b)
+    sym = np.add(fu, fs)
+    sym /= _SQRT2
+    anti = np.subtract(fu, fs, out=fu)
+    np.multiply(1j, anti, out=anti)
+    anti /= _SQRT2
+    n_upper = len(first) - d
+    out = np.empty((d * d, d * d))
+    for cols, image in (
+        (slice(0, d), g[a, first[:d], b, first[:d]]),  # Phi(E_cc)
+        (slice(d, d + n_upper), sym),
+        (slice(d + n_upper, None), anti),
+    ):  # image[(a, b), l] = Phi(B_l)[a, b]
+        out[:d, cols] = image[:d].real
+        np.multiply(_SQRT2, image[d:].real, out=out[d : d + n_upper, cols])
+        np.multiply(_SQRT2, image[d:].imag, out=out[d + n_upper :, cols])
+    return out
 
 
 def _to_coords(rhos: np.ndarray) -> np.ndarray:
@@ -235,8 +261,10 @@ def _from_coords(coords: np.ndarray, d: int) -> np.ndarray:
 
 
 def _evolve_liouville(probs: np.ndarray, us: np.ndarray, stages: int, rhos: np.ndarray) -> np.ndarray:
-    """K stages by binary powering of the real Liouville matrix."""
+    """K stages by binary powering of the real Liouville matrix; the
+    squarings alternate between two buffers."""
     power = _liouville_matrix(probs, us)
+    spare = np.empty_like(power)
     coords = _to_coords(rhos)
     k = stages
     while True:
@@ -245,7 +273,7 @@ def _evolve_liouville(probs: np.ndarray, us: np.ndarray, stages: int, rhos: np.n
         k >>= 1
         if not k:
             break
-        power = power @ power
+        power, spare = np.matmul(power, power, out=spare), power
     return _from_coords(coords, us.shape[1])
 
 

@@ -331,6 +331,36 @@ class TestEvolveStates:
         expanded = evolve_states(*word_stack(ts, mixture_power(stage, stages)), 1, rhos)
         assert np.max(np.abs(composed - expanded)) <= 1e-12
 
+    @pytest.mark.parametrize("n_states", [1, 3])
+    def test_direct_word_blocks_match_superoperator_oracle(self, monkeypatch, rng, n_states):
+        """Word blocks of 5 split an alg2 stage at m = 4 (24 words) into 5
+        blocks, the last one short; batched and unbatched stacks both match
+        the complex superoperator, and the input states are only read."""
+        d = 3
+        monkeypatch.setattr("splitsim.channels._DIRECT_BLOCK_ENTRIES", 5 * n_states * d * d)
+        problems = [random_termset(d, 4, 1.0, seed=s) for s in (11, 12)]
+        mixes = [alg2_stage_mixture(ts, 0.2) for ts in problems]
+        stacks = [word_stack(ts, mix) for ts, mix in zip(problems, mixes)]
+        assert stacks[0][1].shape[0] == 24
+        rhos = np.stack([
+            np.stack([random_density_mat(rng, d) for _ in range(n_states)]) for _ in problems
+        ])
+        rhos.setflags(write=False)
+        before = rhos.copy()
+        probs = np.stack([p for p, _ in stacks])
+        us = np.stack([u for _, u in stacks])
+        for stages in (1, 4):
+            batched = _evolve_direct(probs, us, stages, rhos)
+            for i, (ts, mix) in enumerate(zip(problems, mixes)):
+                power = channel_power(mixture_superoperator(ts, mix), stages)
+                oracle = np.stack(
+                    [apply_channel(power, DensityMatrix(r)).mat for r in rhos[i]]
+                )
+                alone = _evolve_direct(probs[i], us[i], stages, rhos[i])
+                assert np.max(np.abs(alone - oracle)) <= 1e-12
+                assert np.array_equal(batched[i], alone)
+        assert np.array_equal(rhos, before)
+
     def test_public_entry_agrees_with_direct_path(self, ts, rng):
         mix = alg2_stage_mixture(ts, 0.1)
         probs, us = word_stack(ts, mix)

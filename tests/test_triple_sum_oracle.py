@@ -15,6 +15,7 @@ import pytest
 
 from splitsim.bounds import (
     _grid_argmax,
+    _grid_dtype,
     _hessian,
     _pair_move_max,
     _polish,
@@ -164,6 +165,45 @@ class TestGridScan:
         values = [brute_s(c) for c in grid]
         best = max(values)
         assert _grid_argmax(steps, n, cap) == (best, list(grid[values.index(best)]))
+
+
+def brute_grid_argmax(total, n, cap):
+    """Largest S over int vectors of length n in [0, cap] summing to total and
+    the lexicographically smallest vector reaching it, by scoring every vector
+    in int64 with the triple loop of :func:`brute_s` run over columns."""
+    axes = np.meshgrid(*[np.arange(cap + 1, dtype=np.int64)] * (n - 1), indexing="ij")
+    cols = [a.ravel() for a in axes]
+    cols.append(total - sum(cols))
+    keep = (cols[-1] >= 0) & (cols[-1] <= cap)
+    cols = [c[keep] for c in cols]  # rows in lexicographic order
+    values = brute_s(cols)
+    i = int(np.argmax(values))
+    return int(values[i]), [int(c[i]) for c in cols]
+
+
+# (total, n, cap) on both sides of each type switch of the grid scan (int16
+# up to total 58, int32 up to 2344), and at the first n = 3 totals whose
+# maximum no longer fits the narrower type: 33*33*34 = 37,026 > 2**15 - 1 at
+# total 100 and 1290**2 * 1291 > 2**31 - 1 at total 3871. At n = 3 the large
+# totals keep cap near total / 3 so the scan stays short; the type depends on
+# the total alone.
+TYPE_SWITCH_CASES = [
+    (58, 3, 29), (59, 3, 29), (58, 4, 29), (59, 4, 29), (100, 3, 50),
+    (2344, 3, 790), (2345, 3, 790), (3871, 3, 1300),
+]
+
+
+class TestGridIntegerType:
+    def test_type_switches_where_total_cubed_over_six_outgrows_it(self):
+        assert [_grid_dtype(t) for t in (2, 58, 59, 2344, 2345, 10**4)] == [
+            np.int16, np.int16, np.int32, np.int32, np.int64, np.int64,
+        ]
+
+    @pytest.mark.parametrize("total, n, cap", TYPE_SWITCH_CASES)
+    def test_scan_matches_brute_force_across_type_switches(self, total, n, cap):
+        # numpy integer overflow wraps silently, so a too-narrow table would
+        # give a wrong maximum or maximizer here rather than an error.
+        assert _grid_argmax(total, n, cap) == brute_grid_argmax(total, n, cap)
 
 
 class TestLemma2Max:

@@ -1,0 +1,117 @@
+#!/usr/bin/env python3
+"""Median timings of the exact kernels that the benchmark workloads hide.
+
+Times, as the median of repeated calls in this process:
+
+* ``evolve_states`` at the documented envelope, an alg2 stage at d = 64,
+  m = 6 (720 words) over K = 8 stages on a 16-state panel, which takes the
+  direct path, with the ``tracemalloc`` peak of one more call;
+* ``evolve_states`` at d = 24, an alg2 stage at m = 3 over K = 256 stages,
+  which takes the Liouville path;
+* ``_liouville_matrix`` of that d = 24 stage;
+* ``_grid_argmax(20, 9, 10)``, the default n = 9 Lemma-2 grid scan, with its
+  ``tracemalloc`` peak.
+
+It prints one JSON line that also records the numpy and BLAS versions and
+the BLAS thread setting. It takes no options and under a minute:
+
+    python3 tools/kernel_bench.py
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+import tracemalloc
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
+
+from splitsim.bounds import _grid_argmax  # noqa: E402
+from splitsim.channels import (  # noqa: E402
+    _liouville_matrix,
+    _propagation_path,
+    evolve_states,
+    word_stack,
+)
+from splitsim.harness import _projectors, state_panel  # noqa: E402
+from splitsim.hamiltonians import random_termset  # noqa: E402
+from splitsim.schedules import alg2_stage_mixture  # noqa: E402
+
+SEED = 7
+N_STATES = 16
+
+
+def _timed(fn, repeats: int, traced: bool = False) -> dict:
+    """Median wall time of ``repeats`` calls, then, if ``traced``, the
+    ``tracemalloc`` peak of one more call."""
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    out = {"median_s": statistics.median(times), "repeats": repeats}
+    if traced:
+        tracemalloc.start()
+        try:
+            fn()
+            out["peak_traced_mb"] = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+    return out
+
+
+def _evolve_case(d: int, m: int, stages: int):
+    """An alg2 stage over t/stages at t = 1 and its panel, seeded as the
+    documented envelope point."""
+    ts = random_termset(d, m, 1.0, SEED)
+    probs, us = word_stack(ts, alg2_stage_mixture(ts, 1.0 / stages))
+    rhos = _projectors(state_panel(d, N_STATES, SEED))
+    path = _propagation_path(d, len(probs), N_STATES, stages)
+    return probs, us, rhos, path
+
+
+def _blas() -> dict:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (KeyError, TypeError):
+        return {"name": None, "version": None}
+    return {"name": blas.get("name"), "version": blas.get("version")}
+
+
+def main() -> int:
+    # Small kernels first: the envelope's large buffers change what later
+    # allocations cost.
+    kernels = {"grid_argmax_20_9_10": _timed(lambda: _grid_argmax(20, 9, 10), 7, traced=True)}
+    probs, us, rhos, path = _evolve_case(24, 3, 256)
+    kernels["liouville_matrix_d24_m3"] = _timed(lambda: _liouville_matrix(probs, us), 7)
+    kernels["evolve_states_d24_m3_K256"] = {
+        "path": path, **_timed(lambda: evolve_states(probs, us, 256, rhos), 7),
+    }
+    probs, us, rhos, path = _evolve_case(64, 6, 8)
+    kernels["evolve_states_d64_m6_K8"] = {
+        "path": path, **_timed(lambda: evolve_states(probs, us, 8, rhos), 3, traced=True),
+    }
+    record = {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": _blas(),
+        "threads": {
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "usable_cpus": len(os.sched_getaffinity(0)),
+        },
+        "kernels": kernels,
+    }
+    print(json.dumps(record, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
