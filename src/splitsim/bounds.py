@@ -1,10 +1,10 @@
 """Numerical verification of the third-order obstruction.
 
 Maximizes the alternating triple-product sum S over the constrained box slice
-{0 <= x_i <= 1, sum x_i = 2} (an exact integer grid scan, then coordinate
-ascent whose pair moves are solved as exact quadratics, finished by Newton
-steps on the active face in pure-Python floats), audits arbitrary schedules
-for the per-stage obstruction.
+{0 <= x_i <= 1, sum x_i = 2} (from the uniform point and seeded random
+starts, coordinate ascent whose pair moves are solved as exact quadratics,
+finished by Newton steps on the active face in pure-Python floats), audits
+arbitrary schedules for the per-stage obstruction.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from typing import Sequence
 import numpy as np
 
 from .config import (
-    LEMMA2_GRID_MAX_ROWS,
     LEMMA2_MAX_N,
     NORMALIZATION_ATOL,
     POLISH_IMPROVEMENT_TOL,
@@ -34,9 +33,6 @@ __all__ = [
     "lemma2_uniform_value",
 ]
 
-_GRID_EXHAUSTIVE_MAX_N = 9
-_DEFAULT_GRID_SMALL = 40  # N <= 6
-_DEFAULT_GRID_LARGE = 20  # N in 7..9
 _LOCAL_STARTS = 8
 # Newton steps per polish round; no default run for n <= 40 took more than 9.
 _NEWTON_MAX_STEPS = 30
@@ -49,110 +45,9 @@ class Lemma2Result:
     n: int
     max_s: float
     argmax: tuple[float, ...]
-    method: str  # "grid" or "refined-local"
-    grid_steps: int | None = None
 
     def to_json(self) -> dict:
         return asdict(self)
-
-
-def _composition_count(total: int, parts: int, cap: int) -> int:
-    """Number of int vectors of length ``parts`` with entries in [0, cap]
-    summing to ``total``."""
-    counts = [1 if t <= cap else 0 for t in range(total + 1)]  # one part
-    for _ in range(parts - 1):
-        counts = [sum(counts[t - v] for v in range(min(t, cap) + 1)) for t in range(total + 1)]
-    return counts[total]
-
-
-def _grid_dtype(total: int) -> type:
-    """Narrowest of int16, int32 and int64 that holds every grid value at ``total``.
-
-    Every S entry and partial score is a sub-sum of some vector's S, and S of
-    a nonnegative vector summing to ``total`` is at most total**3 / 6; each Q
-    is at most total**2 / 2 and E, O at most total. So int16 covers total <=
-    58, int32 total <= 2344, and int64 the rest (the grid's row cap keeps
-    total far below int64's limit). numpy wraps silently on overflow, so the
-    bound decides the type, never the data.
-    """
-    bound = total**3 // 6
-    return next(t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
-
-
-def _suffix_table(total: int, parts: int, cap: int, memo: dict, dtype: type) -> np.ndarray:
-    """Statistics of every int vector of length ``parts`` with entries in [0, cap]
-    summing to ``total``, in lexicographic order: one row each for S, E, O,
-    Q_eo and Q_oe, one column per vector, of integer type ``dtype`` (from
-    :func:`_grid_dtype` of the full vector's total).
-
-    With local index parity: E and O are the sums of the even- and odd-index
-    entries, Q_eo sums r_j r_k over even j < odd k and Q_oe over odd j < even
-    k, and S is the triple sum of :func:`splitsim.series.s_value`. Prepending
-    v flips every parity, so each block of the table follows from the
-    sub-table of ``total - v`` in O(1) per vector. Sub-tables are read from
-    and stored in ``memo``; this table itself is not stored.
-    """
-    if parts == 1:  # the vector (total), if it fits
-        table = np.zeros((5, 1 if total <= cap else 0), dtype=dtype)
-        table[1] = total
-        return table
-    subs = []
-    for v in range(min(total, cap) + 1):
-        key = (total - v, parts - 1)
-        if key not in memo:
-            memo[key] = _suffix_table(*key, cap, memo, dtype)
-        subs.append(memo[key])
-    table = np.empty((5, sum(sub.shape[1] for sub in subs)), dtype=dtype)
-    start = 0
-    for v, (s, e, o, q_eo, q_oe) in enumerate(subs):
-        stop = start + len(s)
-        table[:, start:stop] = (s + v * q_eo, o + v, e, v * e + q_oe, q_eo)
-        start = stop
-    return table
-
-
-def _grid_argmax(total: int, n: int, cap: int) -> tuple[int, list[int]]:
-    """Largest S over int vectors of length ``n`` >= 3 with entries in [0, cap]
-    summing to ``total``, and the lexicographically smallest vector reaching it.
-
-    A vector is (a, b, r) with r holding indices 2..n-1 at their global
-    parity, so S = S(r) + a*b*E(r) + a*Q_oe(r) + b*Q_eo(r), exact in the
-    integer type of :func:`_grid_dtype`. The suffix table of each total t is
-    built once, serves every leading pair with a + b = total - t and is
-    dropped before the next one is built. The default n = 9 grid (total 20)
-    runs in int16: its tables and scores peak at 5.0 MB (``tracemalloc``),
-    against 20.1 MB in int64.
-    """
-    memo: dict = {}
-    dtype = _grid_dtype(total)
-
-    def candidates(t: int):
-        """(-S, a, b, column, t) of the first maximizer for each leading pair."""
-        s, e, _, q_eo, q_oe = _suffix_table(t, n - 2, cap, memo, dtype)
-        for a in range(min(total - t, cap) + 1):
-            b = total - t - a
-            if b <= cap:
-                vals = e * (a * b)
-                vals += s
-                vals += a * q_oe
-                vals += b * q_eo
-                i = int(np.argmax(vals))
-                yield -int(vals[i]), a, b, i, t
-
-    # Every t in range leaves at least one leading pair and one suffix.
-    suffix_totals = range(max(total - 2 * cap, 0), min(total, (n - 2) * cap) + 1)
-    neg_s, a, b, i, t = min(cand for t in suffix_totals for cand in candidates(t))
-    # Unrank column i of the lexicographic table of (t, n - 2).
-    row = [a, b]
-    for parts in range(n - 2, 1, -1):
-        v = 0
-        while i >= (size := _composition_count(t - v, parts - 1, cap)):
-            i -= size
-            v += 1
-        row.append(v)
-        t -= v
-    row.append(t)
-    return -neg_s, row
 
 
 def _pair_move_max(
@@ -341,63 +236,34 @@ def _polish(x0: Sequence[float]) -> tuple[np.ndarray, float]:
             x, best = _newton(x, best)
 
 
-def lemma2_max(n: int, grid_steps: int | None = None) -> Lemma2Result:
+def lemma2_max(n: int) -> Lemma2Result:
     """Maximize S over {0 <= x_i <= 1, sum x_i = 2} numerically.
 
-    For n <= 9 the feasible set is enumerated on a grid of resolution
-    2/grid_steps (defaults: 40 for n <= 6, 20 for n in 7..9), scored in exact
-    integer counts from per-suffix statistics (:func:`_grid_argmax`), and the
-    best cell is polished (:func:`_polish`: pair-move sweeps, then Newton
-    steps on the active face); ties break toward the lexicographically
-    smallest grid point. A grid of more than ``LEMMA2_GRID_MAX_ROWS`` points
-    is rejected before it is scanned. Larger n takes no grid: it polishes
-    several seeded starting points instead, and the first start with the
-    largest polished S wins. The maximum always lands strictly below 1/3; at
-    odd n the maximizer is the uniform point x_i = 2/n, and up to n = 64 every
-    default run lands within 1e-14 of (1/3)(1 - 1/n'**2), n' the largest odd
-    number <= n. Each sweep and each Newton solve costs about n**3, so n above
-    ``LEMMA2_MAX_N`` is rejected before any work.
+    Polishes (:func:`_polish`: pair-move sweeps, then Newton steps on the
+    active face) the uniform point x_i = 2/n and ``_LOCAL_STARTS`` feasible
+    starts drawn from ``default_rng(n)``; the first start with the largest
+    polished S wins. The result is a point the search reached, so ``max_s``
+    bounds the maximum from below. It always lands strictly below 1/3; at odd
+    n the maximizer is the uniform point, and up to n = 64 every run lands
+    within 1e-14 of (1/3)(1 - 1/n'**2), n' the largest odd number <= n. Each
+    sweep and each Newton solve costs about n**3, so n above ``LEMMA2_MAX_N``
+    is rejected before any work.
     """
     if n < 3:
         raise ValueError(f"need at least 3 coordinates, got {n}")
     if n > LEMMA2_MAX_N:
         raise ValueError(f"n={n} is above the supported maximum of {LEMMA2_MAX_N} coordinates")
-
-    if n > _GRID_EXHAUSTIVE_MAX_N:
-        if grid_steps is not None:
-            raise ValueError(
-                f"a grid applies only to n <= {_GRID_EXHAUSTIVE_MAX_N}; n={n} is searched "
-                "by refined-local polish without one"
-            )
-        starts = [np.full(n, 2.0 / n)]
-        rng = np.random.default_rng(n)
-        for _ in range(_LOCAL_STARTS):
-            while True:
-                p = rng.dirichlet(np.ones(n)) * 2.0
-                if p.max() <= 1.0:
-                    break
-            starts.append(p)
-    else:
-        if grid_steps is None:
-            grid_steps = _DEFAULT_GRID_SMALL if n <= 6 else _DEFAULT_GRID_LARGE
-        if grid_steps < 2:
-            raise ValueError(f"grid_steps must be >= 2, got {grid_steps}")
-        h = 2.0 / grid_steps
-        cap = grid_steps // 2  # enforces x_i <= 1
-        rows = _composition_count(grid_steps, n, cap)
-        if rows > LEMMA2_GRID_MAX_ROWS:
-            raise ValueError(
-                f"the n={n} grid with {grid_steps} steps has {rows} points, above the cap of "
-                f"{LEMMA2_GRID_MAX_ROWS}; choose a coarser grid"
-            )
-        # S of the counts is an exact integer (h**3 times S of the point), so ties
-        # are exact and the lexicographically smallest grid point wins.
-        _, best_row = _grid_argmax(grid_steps, n, cap)
-        starts = [[c * h for c in best_row]]
+    starts = [np.full(n, 2.0 / n)]
+    rng = np.random.default_rng(n)
+    for _ in range(_LOCAL_STARTS):
+        while True:
+            p = rng.dirichlet(np.ones(n)) * 2.0
+            if p.max() <= 1.0:
+                break
+        starts.append(p)
     # The first start with the largest polished S wins.
     x, v = max((_polish(x0) for x0 in starts), key=lambda polished: polished[1])
-    method = "refined-local" if grid_steps is None else "grid"
-    return Lemma2Result(n=n, max_s=v, argmax=tuple(x), method=method, grid_steps=grid_steps)
+    return Lemma2Result(n=n, max_s=v, argmax=tuple(x))
 
 
 def lemma2_uniform_value(n: int) -> float:

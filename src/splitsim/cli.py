@@ -69,12 +69,12 @@ def _cmd_bound_check(args) -> int:
 
 
 def _cmd_verify_lemma2(args) -> int:
-    result = bounds.lemma2_max(args.n, args.grid)
+    result = bounds.lemma2_max(args.n)
     third = 1.0 / 3.0
     if result.max_s < third:
         print(
             f"max S = {result.max_s:.6f} < 1/3 (margin {third - result.max_s:.3e}) "
-            f"at N={result.n} [{result.method}]"
+            f"at N={result.n}"
         )
         code = EXIT_OK
     else:
@@ -137,7 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-lemma2", help="maximize the triple-product sum S")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--grid", type=int, default=None)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_verify_lemma2)
 

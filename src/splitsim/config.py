@@ -54,11 +54,7 @@ SUPPORTED_MAX_TERMS = 32
 # at dim 64.
 SUPPORTED_MAX_PANEL = 1024
 
-# Largest exhaustive Lemma-2 grid, in points; the default n=9, 20-step grid
-# has 2,889,315. Finer grids are rejected before anything is built.
-LEMMA2_GRID_MAX_ROWS = 4_000_000
-
-# Largest Lemma-2 coordinate count; the refined-local polish costs about n**3
+# Largest Lemma-2 coordinate count; the multi-start polish costs about n**3
 # and takes 0.3-0.55 s at n=32 and 3.0-3.7 s at n=64 (one Python thread on a
 # 2-vCPU VM).
 LEMMA2_MAX_N = 64

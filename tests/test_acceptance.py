@@ -153,7 +153,7 @@ def test_criterion_4_cost_exponents():
 
 
 def test_criterion_5_triple_sum_maxima():
-    """Grid maxima: 8/27 at n=3, 0.32 at n=5, below 1/3 through n=9."""
+    """Searched maxima: 8/27 at n=3, 0.32 at n=5, below 1/3 through n=9."""
     res3 = lemma2_max(3)
     res5 = lemma2_max(5)
     maxima = {3: res3.max_s, 5: res5.max_s}

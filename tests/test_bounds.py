@@ -1,18 +1,9 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitsim.bounds import (
-    _composition_count,
-    _grid_argmax,
-    audit_schedule,
-    lemma2_max,
-    lemma2_uniform_value,
-)
-from splitsim.config import LEMMA2_GRID_MAX_ROWS
+from splitsim.bounds import audit_schedule, lemma2_max, lemma2_uniform_value
 from splitsim.schedules import Word
 from splitsim.series import s_value
 
@@ -22,7 +13,6 @@ THIRD = 1.0 / 3.0
 class TestLemma2Max:
     def test_three_coordinates(self):
         res = lemma2_max(3)
-        assert res.method == "grid"
         assert abs(res.max_s - 8 / 27) <= 1e-4
         assert np.allclose(res.argmax, [2 / 3] * 3, atol=1e-3)
         assert abs(sum(res.argmax) - 2.0) <= 1e-9
@@ -33,7 +23,7 @@ class TestLemma2Max:
         assert np.allclose(res.argmax, [0.4] * 5, atol=1e-2)
 
     def test_four_coordinates_below_third(self):
-        # no closed form at even counts; grid + polish stays below 1/3
+        # no closed form at even counts; the polished maximum stays below 1/3
         res = lemma2_max(4)
         assert res.max_s < THIRD - 1e-6
 
@@ -46,9 +36,8 @@ class TestLemma2Max:
         res = lemma2_max(5)
         assert abs(res.max_s - lemma2_uniform_value(5)) <= 1e-9
 
-    def test_refined_local_beyond_grid_range(self):
+    def test_eleven_coordinates(self):
         res = lemma2_max(11)
-        assert res.method == "refined-local"
         assert res.max_s < THIRD
         assert abs(res.max_s - lemma2_uniform_value(11)) <= 1e-14
 
@@ -56,11 +45,9 @@ class TestLemma2Max:
         with pytest.raises(ValueError):
             lemma2_max(2)
 
-    def test_ties_break_to_lexicographic_argmax(self):
-        # determinism contract: repeated runs give identical argmax
-        a = lemma2_max(4, grid_steps=10)
-        b = lemma2_max(4, grid_steps=10)
-        assert a.argmax == b.argmax
+    def test_repeated_runs_give_the_same_argmax(self):
+        # determinism contract: the starts are seeded by n alone
+        assert lemma2_max(4).argmax == lemma2_max(4).argmax
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -157,102 +144,16 @@ class TestAuditSchedule:
         assert audit.gap > 0
 
 
-def _composition_blocks(total: int, parts: int, cap: int):
-    """The former grid enumeration, kept here as the reference scan.
-
-    All int vectors of length ``parts`` >= 3 with entries in [0, cap] summing
-    to ``total``, in lexicographic order, yielded as int16 blocks: one block
-    per leading pair of entries, the tables of the remaining entries memoised.
-    """
-    memo: dict[tuple[int, int], np.ndarray] = {}
-
-    def rec(tot: int, p: int) -> np.ndarray:
-        if p == 1:
-            if 0 <= tot <= cap:
-                return np.array([[tot]], dtype=np.int16)
-            return np.empty((0, 1), dtype=np.int16)
-        key = (tot, p)
-        if key in memo:
-            return memo[key]
-        blocks = []
-        for v in range(min(tot, cap) + 1):
-            sub = rec(tot - v, p - 1)
-            if len(sub):
-                col = np.full((len(sub), 1), v, dtype=np.int16)
-                blocks.append(np.hstack([col, sub]))
-        out = np.vstack(blocks) if blocks else np.empty((0, p), dtype=np.int16)
-        memo[key] = out
-        return out
-
-    for a in range(min(total, cap) + 1):
-        for b in range(min(total - a, cap) + 1):
-            sub = rec(total - a - b, parts - 2)
-            if len(sub):
-                block = np.empty((len(sub), parts), dtype=np.int16)
-                block[:, 0], block[:, 1], block[:, 2:] = a, b, sub
-                yield block
-
-
-def _s_rows(rows: np.ndarray) -> np.ndarray:
-    """The former row form of s_value: exact int64 S of every integer row,
-    one vectorized pass over the middle index."""
-    cols = rows.T
-    totals = [cols[q::2].sum(axis=0, dtype=np.int64) for q in (0, 1)]
-    running = [0, 0]
-    out = np.zeros(len(rows), dtype=np.int64)
-    for j, v in enumerate(cols):
-        p, q = j % 2, 1 - j % 2
-        out = out + v * running[q] * (totals[q] - running[q])
-        running[p] = running[p] + v
-    return out
-
-
-def _block_scan(total: int, parts: int, cap: int) -> tuple[int, list[int]]:
-    """The former Lemma-2 grid scan: exact S of every block, first maximizer."""
-    best_v, best_row = -1, None
-    for block in _composition_blocks(total, parts, cap):
-        vals = _s_rows(block)
-        i = int(np.argmax(vals))
-        if vals[i] > best_v:
-            best_v, best_row = int(vals[i]), [int(c) for c in block[i]]
-    return best_v, best_row
-
-
-class TestGridEnumeration:
-    """The Lemma-2 grid count against a brute-force product enumeration."""
-
-    @pytest.mark.parametrize("total, parts", [(6, 3), (8, 4), (10, 5), (7, 6)])
-    def test_count_covers_every_composition(self, total, parts):
-        cap = total // 2
-        brute = [c for c in itertools.product(range(cap + 1), repeat=parts) if sum(c) == total]
-        assert _composition_count(total, parts, cap) == len(brute)
-
-    def test_scan_matches_the_block_scan_on_the_default_n9_grid(self):
-        assert _grid_argmax(20, 9, 10) == _block_scan(20, 9, 10)
-
-    def test_default_n9_grid_is_under_the_cap(self):
-        assert _composition_count(20, 9, 10) == 2_889_315 <= LEMMA2_GRID_MAX_ROWS
-
-    def test_oversized_grid_rejected_before_building(self):
-        with pytest.raises(ValueError, match="357368319 points"):
-            lemma2_max(9, grid_steps=40)
-
-    def test_grid_rejected_beyond_exhaustive_range(self):
-        with pytest.raises(ValueError, match="n <= 9"):
-            lemma2_max(12, grid_steps=20)
-
-
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: lemma2_max(4, grid_steps=1), "grid_steps must be >= 2, got 1"),
         (lambda: lemma2_uniform_value(2), "need n >= 3, got 2"),
         (
             lambda: audit_schedule(Word(((1, 0.5), (2, 1.0), (1, 0.5))), 2, 2, dt_unit=1.0),
             "two distinct terms",
         ),
     ],
-    ids=["lemma2-grid-below-two", "uniform-value-n2", "audit-equal-pair"],
+    ids=["uniform-value-n2", "audit-equal-pair"],
 )
 def test_rejected_input(call, message):
     with pytest.raises(ValueError, match=message):

@@ -192,17 +192,14 @@ class TestVerifyLemma2:
         doc = json.loads(blob)
         assert abs(doc["max_s"] - 8 / 27) <= 1e-4
 
-    def test_custom_grid(self, capsys):
-        assert main(["verify-lemma2", "--n", "4", "--grid", "12"]) == EXIT_OK
-
     def test_maximum_at_one_third_exits_one(self, capsys, monkeypatch):
         # Exit 1 means a failed claim and nothing else: a maximum that reaches
         # 1/3 is reported as a violation, not as invalid input.
         from splitsim import cli
         from splitsim.bounds import Lemma2Result
 
-        fake = Lemma2Result(n=3, max_s=1.0 / 3.0, argmax=(2 / 3, 2 / 3, 2 / 3), method="grid")
-        monkeypatch.setattr(cli.bounds, "lemma2_max", lambda n, grid: fake)
+        fake = Lemma2Result(n=3, max_s=1.0 / 3.0, argmax=(2 / 3, 2 / 3, 2 / 3))
+        monkeypatch.setattr(cli.bounds, "lemma2_max", lambda n: fake)
         assert main(["verify-lemma2", "--n", "3"]) == EXIT_ASSERTION
         assert "claim violated" in capsys.readouterr().out
 
@@ -212,21 +209,24 @@ class TestVerifyLemma2:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["--n", "9", "--grid", "40"], "357368319 points"),
-            (["--n", "12", "--grid", "20"], "n <= 9"),
             (["--n", "65"], "supported maximum of 64"),
             (["--n", "200"], "supported maximum of 64"),
         ],
     )
-    def test_oversized_or_ignored_grid_exits_two(self, capsys, argv, message):
-        # The n=9, 40-step grid has 357,368,319 points (about 6.4 GB of int16);
-        # it is counted and rejected before anything is built. The polish
-        # costs about n**3, so n above 64 is rejected before any work.
+    def test_oversized_n_exits_two(self, capsys, argv, message):
+        # The polish costs about n**3, so n above 64 is rejected before any work.
         start = time.perf_counter()
         assert main(["verify-lemma2", *argv]) == EXIT_INVALID
         assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+
+    def test_grid_option_is_unrecognised(self, capsys):
+        # One search serves every n; there is no grid to choose.
+        start = time.perf_counter()
+        assert main(["verify-lemma2", "--n", "5", "--grid", "40"]) == EXIT_INVALID
+        assert time.perf_counter() - start < 1.0
+        assert "unrecognized arguments: --grid 40" in capsys.readouterr().err
 
 
 class TestExpand:

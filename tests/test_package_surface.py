@@ -98,7 +98,7 @@ RECORD_KEYS = {
     "BoundReport": {
         "mean_dev", "sq_dev", "input_dist", "bound", "observed", "observed_raw",
     },
-    "Lemma2Result": {"n", "max_s", "argmax", "method", "grid_steps"},
+    "Lemma2Result": {"n", "max_s", "argmax"},
     "ScheduleAudit": {"pair", "normalized", "alpha_sum", "beta_sum", "s", "gap", "verdict"},
     "ScalingReport": {"fixed_eps", "fixed_t", "per_scheme"},
     "CampaignReport": {

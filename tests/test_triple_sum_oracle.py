@@ -4,6 +4,7 @@ The oracle below is the definition of S written as a plain triple loop; it
 shares no code with the package.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -14,8 +15,6 @@ from hypothesis import strategies as st
 import pytest
 
 from splitsim.bounds import (
-    _grid_argmax,
-    _grid_dtype,
     _hessian,
     _pair_move_max,
     _polish,
@@ -150,78 +149,45 @@ class TestPairMove:
         assert v >= max(oracle_along(s) for s in np.linspace(lo, hi, 201)) - 1e-15
 
 
-# Every (steps, n) with n = 3..7 on the grids 2, 3, 4, 6 and 7, plus two
-# larger grids.
-GRID_CASES = [(steps, n) for n in range(3, 8) for steps in (2, 3, 4, 6, 7)] + [(8, 4), (10, 5)]
-
-
-class TestGridScan:
-    @pytest.mark.parametrize("steps, n", GRID_CASES)
-    def test_suffix_statistics_scan_matches_brute_force(self, steps, n):
-        # Same integer maximum and the same (first, lexicographic) grid point
-        # as scoring every product-enumerated point with the plain triple loop.
-        cap = steps // 2
-        grid = [c for c in itertools.product(range(cap + 1), repeat=n) if sum(c) == steps]
-        values = [brute_s(c) for c in grid]
-        best = max(values)
-        assert _grid_argmax(steps, n, cap) == (best, list(grid[values.index(best)]))
-
-
-def brute_grid_argmax(total, n, cap):
-    """Largest S over int vectors of length n in [0, cap] summing to total and
-    the lexicographically smallest vector reaching it, by scoring every vector
-    in int64 with the triple loop of :func:`brute_s` run over columns."""
-    axes = np.meshgrid(*[np.arange(cap + 1, dtype=np.int64)] * (n - 1), indexing="ij")
-    cols = [a.ravel() for a in axes]
-    cols.append(total - sum(cols))
-    keep = (cols[-1] >= 0) & (cols[-1] <= cap)
-    cols = [c[keep] for c in cols]  # rows in lexicographic order
-    values = brute_s(cols)
-    i = int(np.argmax(values))
-    return int(values[i]), [int(c[i]) for c in cols]
-
-
-# (total, n, cap) on both sides of each type switch of the grid scan (int16
-# up to total 58, int32 up to 2344), and at the first n = 3 totals whose
-# maximum no longer fits the narrower type: 33*33*34 = 37,026 > 2**15 - 1 at
-# total 100 and 1290**2 * 1291 > 2**31 - 1 at total 3871. At n = 3 the large
-# totals keep cap near total / 3 so the scan stays short; the type depends on
-# the total alone.
-TYPE_SWITCH_CASES = [
-    (58, 3, 29), (59, 3, 29), (58, 4, 29), (59, 4, 29), (100, 3, 50),
-    (2344, 3, 790), (2345, 3, 790), (3871, 3, 1300),
+# (n, steps) of the 2/steps lattices on the slice: n = 3..7 on the grids 2, 3,
+# 4, 6 and 7, two larger grids, and the finest grid of each n that enumerates
+# in well under a second.
+LATTICES = [(n, steps) for n in range(3, 8) for steps in (2, 3, 4, 6, 7)] + [
+    (4, 8), (5, 10), (3, 12), (4, 12), (5, 12), (6, 10), (7, 10),
 ]
 
 
-class TestGridIntegerType:
-    def test_type_switches_where_total_cubed_over_six_outgrows_it(self):
-        assert [_grid_dtype(t) for t in (2, 58, 59, 2344, 2345, 10**4)] == [
-            np.int16, np.int16, np.int32, np.int32, np.int64, np.int64,
-        ]
-
-    @pytest.mark.parametrize("total, n, cap", TYPE_SWITCH_CASES)
-    def test_scan_matches_brute_force_across_type_switches(self, total, n, cap):
-        # numpy integer overflow wraps silently, so a too-narrow table would
-        # give a wrong maximum or maximizer here rather than an error.
-        assert _grid_argmax(total, n, cap) == brute_grid_argmax(total, n, cap)
+@functools.cache
+def lattice_best(n, steps):
+    """Exact largest S over every point of the 2/steps lattice on the slice,
+    scored with the plain triple loop, and the first (lexicographic) integer
+    point of the lattice that reaches it."""
+    cap = steps // 2
+    lattice = [c for c in itertools.product(range(cap + 1), repeat=n) if sum(c) == steps]
+    values = [brute_s(c) for c in lattice]
+    best = max(values)
+    return Fraction(best) * Fraction(2, steps) ** 3, lattice[values.index(best)]
 
 
 class TestLemma2Max:
-    def test_grid_picks_first_brute_force_maximizer(self):
-        steps, n = 10, 4
-        grid = [c for c in itertools.product(range(steps // 2 + 1), repeat=n) if sum(c) == steps]
-        values = [brute_s(c) for c in grid]
-        first_best = grid[values.index(max(values))]
-        x, v = _polish(np.array(first_best) * (2.0 / steps))
-        res = lemma2_max(n, grid_steps=steps)
-        assert res.argmax == tuple(x)
-        assert res.max_s == v
+    @pytest.mark.parametrize("n, steps", LATTICES)
+    def test_no_lattice_point_beats_the_search(self, n, steps):
+        best, _ = lattice_best(n, steps)
+        assert lemma2_max(n).max_s >= best - 1e-15
 
-    def test_refined_local_reaches_uniform_floor(self):
+    @pytest.mark.parametrize("n, steps", LATTICES)
+    def test_search_reaches_the_polished_lattice_best(self, n, steps):
+        # The deleted grid path: polish the best lattice point. The polish
+        # loses nothing, and the one search reaches what it finds.
+        best, point = lattice_best(n, steps)
+        _, v = _polish(np.array(point) * (2.0 / steps))
+        assert v >= best - 1e-15
+        assert lemma2_max(n).max_s >= v - 1e-15
+
+    def test_ten_coordinates_reach_the_uniform_floor(self):
         # Padding with a zero coordinate leaves S unchanged, so the maximum at
         # n=10 is at least the closed-form uniform value at n=9.
         res = lemma2_max(10)
-        assert res.method == "refined-local"
         assert (1.0 - 1.0 / 81) / 3.0 - 1e-15 <= res.max_s < THIRD
 
     @pytest.mark.parametrize("n", [*range(3, 17), 32, 33])

@@ -9,8 +9,10 @@ Times, as the median of repeated calls in this process:
 * ``evolve_states`` at d = 24, an alg2 stage at m = 3 over K = 256 stages,
   which takes the Liouville path;
 * ``_liouville_matrix`` of that d = 24 stage;
-* ``_grid_argmax(20, 9, 10)``, the default n = 9 Lemma-2 grid scan, with its
-  ``tracemalloc`` peak.
+* ``lemma2_max(9)``, the whole Lemma-2 search at n = 9, with its
+  ``tracemalloc`` peak;
+* one ``_sweep`` of pair moves from the uniform point at n = 16 and 32, the
+  inner loop of the Lemma-2 polish.
 
 It prints one JSON line that also records the numpy and BLAS versions and
 the BLAS thread setting. It takes no options and under a minute:
@@ -34,7 +36,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from splitsim.bounds import _grid_argmax  # noqa: E402
+from splitsim.bounds import _sweep, lemma2_max  # noqa: E402
 from splitsim.channels import (  # noqa: E402
     _liouville_matrix,
     _propagation_path,
@@ -44,6 +46,7 @@ from splitsim.channels import (  # noqa: E402
 from splitsim.harness import _projectors, state_panel  # noqa: E402
 from splitsim.hamiltonians import random_termset  # noqa: E402
 from splitsim.schedules import alg2_stage_mixture  # noqa: E402
+from splitsim.series import s_value  # noqa: E402
 
 SEED = 7
 N_STATES = 16
@@ -89,7 +92,11 @@ def _blas() -> dict:
 def main() -> int:
     # Small kernels first: the envelope's large buffers change what later
     # allocations cost.
-    kernels = {"grid_argmax_20_9_10": _timed(lambda: _grid_argmax(20, 9, 10), 7, traced=True)}
+    kernels = {"lemma2_max_9": _timed(lambda: lemma2_max(9), 7, traced=True)}
+    for n in (16, 32):
+        # _sweep moves the point it is given, so each call starts from a copy.
+        uniform = [2.0 / n] * n
+        kernels[f"sweep_uniform_{n}"] = _timed(lambda: _sweep(list(uniform), s_value(uniform)), 7)
     probs, us, rhos, path = _evolve_case(24, 3, 256)
     kernels["liouville_matrix_d24_m3"] = _timed(lambda: _liouville_matrix(probs, us), 7)
     kernels["evolve_states_d24_m3_K256"] = {
