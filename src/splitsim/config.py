@@ -54,9 +54,9 @@ SUPPORTED_MAX_TERMS = 32
 # at dim 64.
 SUPPORTED_MAX_PANEL = 1024
 
-# Largest Lemma-2 coordinate count; the multi-start polish costs about n**3
-# and takes 0.3-0.55 s at n=32 and 3.0-3.7 s at n=64 (one Python thread on a
-# 2-vCPU VM).
+# Largest Lemma-2 coordinate count; the polish of the uniform point costs
+# about n**3 and takes about 0.04 s at n=32 and 0.13 s at n=64 (one Python
+# thread on a 2-vCPU VM).
 LEMMA2_MAX_N = 64
 
 # Scaling envelope: rounding in the panel error picks K below eps 1e-8 (strang

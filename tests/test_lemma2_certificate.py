@@ -119,6 +119,44 @@ def test_bound_holds_on_random_points_of_random_boxes(n):
         checked += 1
 
 
+def cut_vertices(lo, hi):
+    """The vertices of the box [lo, hi] cut by sum x = TOTAL: every coordinate
+    but one at an end of its range, the last one inside its range."""
+    n = len(lo)
+    for c in range(n):
+        others = [i for i in range(n) if i != c]
+        for ends in itertools.product(*((lo[i], hi[i]) for i in others)):
+            rest = TOTAL - sum(ends)
+            if lo[c] <= rest <= hi[c]:
+                x = list(ends)
+                x.insert(c, rest)
+                yield x
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_bound_holds_at_every_vertex_of_small_boxes(n):
+    # At a vertex several coordinates can sit at their upper ends at once, so
+    # S there has cross terms that slopes taken at the lower corner miss (for
+    # two or more members of a triple; for one member alone the bound still
+    # holds, by telescoping the product from that member). Small boxes around
+    # points of the slice keep S away from zero.
+    rng = random.Random(100 + n)
+    terms = triples(n)
+    for _ in range(40):
+        # A point of the slice, one coordinate at a time; the last one takes
+        # what is left.
+        x, budget = [0] * n, TOTAL
+        for left, c in zip(range(n - 1, -1, -1), rng.sample(range(n), n)):
+            x[c] = rng.randint(max(0, budget - left * ONE), min(ONE, budget))
+            budget -= x[c]
+        lo = [max(0, v - rng.randrange(ONE >> 3)) for v in x]
+        hi = [min(ONE, v + rng.randrange(ONE >> 3)) for v in x]
+        lo, hi = tighten(lo, hi)
+        bound = upper_bound(terms, lo, hi)
+        for v in cut_vertices(lo, hi):
+            assert sum(v[i] * v[j] * v[k] for i, j, k in terms) <= bound
+
+
 @pytest.mark.parametrize("num, den", [(1, 3), (17, 54)], ids=["third", "halfway"])
 @pytest.mark.parametrize("n", [3, 4])
 def test_maximum_is_below(n, num, den):

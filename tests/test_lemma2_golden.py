@@ -1,13 +1,13 @@
 """Lemma-2 outputs pinned bit for bit.
 
 ``data/lemma2_golden.json`` holds ``lemma2_max(n).to_json()`` for n = 3..33,
-recorded from the one multi-start search: the uniform point and eight seeded
-starts, each polished by pair moves and Newton steps on its active face. Every
-float must come back exactly; this path uses no BLAS, so the values do not
-depend on the machine's linear-algebra library. Beside each result,
-``parent_max_s`` keeps the maximum of the default run before the grid scan was
-deleted (an exhaustive grid start, then the same polish, for n <= 9), which
-the search must not fall below. ``former_grid_runs`` keeps the maximum of
+recorded from the one-start search: the uniform point, polished by pair moves
+and Newton steps on its active face. Every float must come back exactly; this
+path uses no BLAS, so the values do not depend on the machine's linear-algebra
+library. Beside each result, ``parent_max_s`` keeps the maximum of the default
+run before the grid scan was deleted (an exhaustive grid start, then the same
+polish, for n <= 9; the uniform point and eight seeded starts, each polished,
+for n >= 10), which the search must not fall below. ``former_grid_runs`` keeps the maximum of
 every fixed-grid run (n = 3..9 on the grids 2, 3, 4, 6, 7, 10 and 12, (5, 40)
 and (6, 30)) that the deleted ``grid_steps`` knob offered; the one search must
 reach each of them too.

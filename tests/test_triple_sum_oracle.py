@@ -190,9 +190,20 @@ class TestLemma2Max:
         res = lemma2_max(10)
         assert (1.0 - 1.0 / 81) / 3.0 - 1e-15 <= res.max_s < THIRD
 
-    @pytest.mark.parametrize("n", [*range(3, 17), 32, 33])
+    @pytest.mark.parametrize("n", range(3, 65))
     def test_default_run_lands_on_the_closed_form(self, n):
         # Numerically the maximum is the uniform value at the largest odd
-        # n' <= n (at even n, an odd uniform point padded with a zero).
+        # n' <= n (at even n, an odd uniform point padded with a zero). The
+        # argmax, rescaled exactly onto sum 2, reaches it in exact arithmetic,
+        # and at odd n it is the uniform point.
         odd = n if n % 2 else n - 1
-        assert abs(lemma2_max(n).max_s - (1.0 - 1.0 / odd**2) / 3.0) <= 1e-14
+        closed = Fraction(1, 3) * (1 - Fraction(1, odd**2))
+        res = lemma2_max(n)
+        assert abs(res.max_s - float(closed)) <= 1e-15
+        # Every float is an integer over a common power of two, 2**e.
+        e = max(Fraction(v).denominator for v in res.argmax).bit_length() - 1
+        ints = [int(v * 2**e) for v in res.argmax]
+        exact = Fraction(8 * brute_s(ints), sum(ints) ** 3)
+        assert exact >= closed - Fraction(1, 10**17)
+        if n % 2:
+            assert max(abs(v - 2.0 / n) for v in res.argmax) <= 1e-12

@@ -10,9 +10,11 @@ Times, as the median of repeated calls in this process:
   which takes the Liouville path;
 * ``_liouville_matrix`` of that d = 24 stage;
 * ``lemma2_max(9)``, the whole Lemma-2 search at n = 9, with its
-  ``tracemalloc`` peak;
+  ``tracemalloc`` peak, and ``lemma2_max(64)`` at the largest supported n;
 * one ``_sweep`` of pair moves from the uniform point at n = 16 and 32, the
-  inner loop of the Lemma-2 polish.
+  inner loop of the Lemma-2 polish;
+* ``word_series`` of a 600-step alg2 word at m = 3 (200 stages, each term
+  once per stage in a seeded random order), the series behind ``expand``.
 
 It prints one JSON line that also records the numpy and BLAS versions and
 the BLAS thread setting. It takes no options and under a minute:
@@ -25,6 +27,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+import random
 import statistics
 import sys
 import time
@@ -45,8 +48,8 @@ from splitsim.channels import (  # noqa: E402
 )
 from splitsim.harness import _projectors, state_panel  # noqa: E402
 from splitsim.hamiltonians import random_termset  # noqa: E402
-from splitsim.schedules import alg2_stage_mixture  # noqa: E402
-from splitsim.series import s_value  # noqa: E402
+from splitsim.schedules import Word, alg2_stage_mixture  # noqa: E402
+from splitsim.series import s_value, word_series  # noqa: E402
 
 SEED = 7
 N_STATES = 16
@@ -92,11 +95,20 @@ def _blas() -> dict:
 def main() -> int:
     # Small kernels first: the envelope's large buffers change what later
     # allocations cost.
-    kernels = {"lemma2_max_9": _timed(lambda: lemma2_max(9), 7, traced=True)}
+    kernels = {
+        "lemma2_max_9": _timed(lambda: lemma2_max(9), 7, traced=True),
+        "lemma2_max_64": _timed(lambda: lemma2_max(64), 5),
+    }
     for n in (16, 32):
         # _sweep moves the point it is given, so each call starts from a copy.
         uniform = [2.0 / n] * n
         kernels[f"sweep_uniform_{n}"] = _timed(lambda: _sweep(list(uniform), s_value(uniform)), 7)
+    # One seeded draw of 200 alg2 stages at m = 3 over t = 1, the shape of the
+    # word the benchmark hands to ``expand``.
+    stage = alg2_stage_mixture(random_termset(4, 3, 1.0, SEED), 1.0 / 200)
+    rng = random.Random(SEED)
+    word = Word(tuple(step for _ in range(200) for step in rng.choice(stage.entries)[1].steps))
+    kernels["word_series_alg2_m3_600"] = _timed(lambda: word_series(word, 3), 7)
     probs, us, rhos, path = _evolve_case(24, 3, 256)
     kernels["liouville_matrix_d24_m3"] = _timed(lambda: _liouville_matrix(probs, us), 7)
     kernels["evolve_states_d24_m3_K256"] = {
