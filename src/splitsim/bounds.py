@@ -300,7 +300,8 @@ def audit_schedule(w: Word, a: int, b: int, dt_unit: float) -> ScheduleAudit:
     normalized = (
         abs(alpha - 1.0) <= NORMALIZATION_ATOL and abs(beta - 1.0) <= NORMALIZATION_ATOL
     )
-    s = s_value(interleaving_profile(w.scaled(1.0 / dt_unit), a, b)) if normalized else None
+    unit = w if dt_unit == 1.0 else w.scaled(1.0 / dt_unit)  # tau * 1.0 == tau
+    s = s_value(interleaving_profile(unit, a, b)) if normalized else None
     return ScheduleAudit(
         pair=(a, b),
         normalized=normalized,

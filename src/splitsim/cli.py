@@ -3,11 +3,14 @@
 Subcommands: simulate, sweep, bound-check, verify-lemma2, expand, scaling.
 Exit codes: 0 success, 1 assertion failure (a verified claim did not hold),
 2 invalid input, including input whose result overflows or is not finite.
+:func:`main` builds the argument parser on its first call and reuses it on
+every later call in the same process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -155,10 +158,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_shared_parser = functools.cache(build_parser)  # built on the first call, not at import
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad usage already; normalize other codes
         return EXIT_INVALID if exc.code not in (0,) else 0

@@ -261,8 +261,12 @@ def word_to_json(w: Word) -> dict:
     return {"steps": [[k, tau] for k, tau in w.steps]}
 
 
+_EXACT_TYPES = {numbers.Integral: (int,), numbers.Real: (int, float)}
+
+
 def _is_number(x, kind) -> bool:
-    return isinstance(x, kind) and not isinstance(x, bool)
+    # JSON decodes to exact int and float, which skip the slower ABC check.
+    return type(x) in _EXACT_TYPES[kind] or (isinstance(x, kind) and not isinstance(x, bool))
 
 
 def word_from_json(doc: dict) -> Word:

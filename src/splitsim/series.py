@@ -9,13 +9,14 @@ evolution at once, and the shortfall is a purely combinatorial function of the
 schedule's interleaving profile.
 
 The degree-3 truncation is hard-coded; the entire analysis lives at third
-order.
+order. :func:`word_series` evaluates a word's coefficients exactly, in
+integers over the word's common binary denominator, and rounds each once;
+:func:`series_mul` folded over :func:`exp_step_series` is the plain
+floating-point product it replaces, kept as a reference.
 """
 
 from __future__ import annotations
 
-import cmath
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -105,87 +106,68 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(m=a.m, coeffs=out)
 
 
-@functools.lru_cache(maxsize=8)
-def _suffix_plans(u: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple, ...]]:
-    """Words over symbols 0..u-1 in (length, lexicographic) order, and the
-    rewrite plan of each symbol.
-
-    The plan of symbol k lists every word ending in k, with the prefixes
-    whose removed suffix is a power k**r, shortest prefix first:
-    (position of the word, ((position of the prefix, r), ...)).
-    """
-    words = tuple(w for n in range(MAX_DEGREE + 1) for w in itertools.product(range(u), repeat=n))
-    pos = {w: q for q, w in enumerate(words)}
-    plans: list[list] = [[] for _ in range(u)]
-    for q, w in enumerate(words[1:], start=1):
-        k, cut = w[-1], len(w) - 1
-        while cut and w[cut - 1] == k:  # w[cut:] is the longest suffix k**r
-            cut -= 1
-        plans[k].append((q, tuple((pos[w[:c]], len(w) - c) for c in range(cut, len(w) + 1))))
-    return words, tuple(tuple(p) for p in plans)
-
-
 def word_series(w: Word, m: int) -> TruncatedSeries:
     """Expansion of a word's unitary, factors multiplied in operator order.
 
     The first step of the word is the leftmost factor, matching
     :func:`splitsim.schedules.word_unitary`, so for the two-step word
-    ((1, t), (2, t)) the coefficient of (1, 2) is -t**2 and (2, 1) gets 0.
+    ((1, t), (2, t)) the coefficient of (1, 2) is -t**2 and (2, 1) is absent.
 
-    Equal, coefficient for coefficient and bit for bit, to folding
-    :func:`series_mul` with :func:`exp_step_series` over the steps, at O(u**2)
-    per step for the u distinct symbols of the word. Only the key order
-    differs: the fold inserts words in the order its products first reach
-    them, while this form lists them in (length, lexicographic) order. That fold adds the
-    contributions to a word in the order of the left factor's words, which is
-    prefix order, so the dense form rebuilds each word ending in the step's
-    symbol k as ``0j`` plus old[prefix] times the step coefficient of k**r,
-    shortest prefix first. It skips a prefix that is absent or nonempty with
-    value exactly 0, as the fold does. A word that does not end in k keeps its
-    value, since ``0j + c * (1 + 0j) == c`` for the finite values the fold
-    stores; the exceptions (exact zeros, which the next step drops, and
-    non-finite values) are tracked and stepped explicitly. Words over symbols
-    the word never uses stay absent.
+    Evaluated exactly: every duration is a binary rational, so with D the
+    word's largest denominator each step is an integer t = tau*D. A degree-n
+    coefficient is (-i)**n r_n, and the step recurrence runs on the integers
+    R1 = r1*D, R2 = 2*r2*D**2 and R3 = 6*r3*D**3. Step (k, t) reads every
+    right-hand side before it updates:
+
+        R3[a][b][k] += 3*R2[a][b]*t     R3[a][k][k] += 3*R1[a]*t**2
+        R3[k][k][k] += t**3             R2[a][k] += 2*R1[a]*t
+        R2[k][k] += t**2                R1[k] += t
+
+    One int/int true division rounds each coefficient correctly. A word is
+    present exactly when its exact coefficient is nonzero, even where that
+    rounds to 0.0, and ``()`` always is. An OverflowError names a duration
+    whose cube overflows, or a coefficient beyond the float range. The cost
+    is O(u**2) integer products per step for the word's u distinct symbols.
     """
-    if w.max_index() > m:
-        raise ValueError(f"word references symbol {w.max_index()} but m={m}")
     alphabet = sorted({k for k, _ in w.steps})
-    if len(alphabet) > SUPPORTED_MAX_TERMS:  # the dense form holds about u**3 slots
-        raise ValueError(f"word uses {len(alphabet)} distinct terms, above the maximum {SUPPORTED_MAX_TERMS}")
+    if alphabet and alphabet[-1] > m:
+        raise ValueError(f"word references symbol {alphabet[-1]} but m={m}")
+    u = len(alphabet)
+    if u > SUPPORTED_MAX_TERMS:  # the dense form holds about u**3 slots
+        raise ValueError(f"word uses {u} distinct terms, above the maximum {SUPPORTED_MAX_TERMS}")
     index = {k: i for i, k in enumerate(alphabet)}
-    words, plans = _suffix_plans(len(alphabet))
-    c: list[complex | None] = [None] * len(words)  # None: the word is absent
-    c[0] = 1.0 + 0j
-    unsettled: list[int] = []  # positions holding 0 or a non-finite value
+    ratios = {tau: tau.as_integer_ratio() for _, tau in w.steps}
+    for tau in ratios:
+        _step_coeffs(tau)  # names the first duration whose cube overflows
+    den = max((d for _, d in ratios.values()), default=1)
+    scaled = {tau: num * (den // d) for tau, (num, d) in ratios.items()}
+    r1, r2, r3 = [0] * u, [0] * u**2, [0] * u**3
     for k, tau in w.steps:
-        e = _step_coeffs(tau)
         k = index[k]
-        new = []
-        for q, prefixes in plans[k]:
-            acc = None
-            for p, r in prefixes:
-                a = c[p]
-                if a is None or (p and a == 0):
-                    continue
-                acc = 0j + a * e[r] if acc is None else acc + a * e[r]
-            new.append((q, acc))
-        keep = []
-        for q in unsettled:
-            if words[q][-1] != k:
-                if c[q] == 0:
-                    c[q] = None
-                else:
-                    c[q] = 0j + c[q] * e[0]
-                    keep.append(q)
-        for q, v in new:
-            c[q] = v
-            if v is not None and not (v and cmath.isfinite(v)):
-                keep.append(q)
-        unsettled = keep
-    return TruncatedSeries(
-        m=m,
-        coeffs={tuple(alphabet[i] for i in wd): v for wd, v in zip(words, c) if v is not None},
-    )
+        t = scaled[tau]
+        t2 = t * t
+        t_3, t2_3, t_2 = 3 * t, 3 * t2, 2 * t
+        for ab, v in enumerate(r2):
+            r3[ab * u + k] += v * t_3
+        for a, v in enumerate(r1):
+            ak = a * u + k
+            r3[ak * u + k] += v * t2_3
+            r2[ak] += v * t_2
+        kk = k * u + k
+        r3[kk * u + k] += t2 * t
+        r2[kk] += t2
+        r1[k] += t
+    coeffs: dict[tuple[int, ...], complex] = {(): 1.0 + 0j}
+    # (-i)**n times the exact value x, for n = 1, 2, 3
+    phases = (lambda x: complex(0.0, -x), lambda x: complex(-x, 0.0), lambda x: complex(0.0, x))
+    for n, r, scale, phase in zip((1, 2, 3), (r1, r2, r3), (den, 2 * den**2, 6 * den**3), phases):
+        for word, v in zip(itertools.product(alphabet, repeat=n), r):
+            if v:
+                try:
+                    coeffs[word] = phase(v / scale)
+                except OverflowError:
+                    raise OverflowError(f"coefficient of word {word} overflows a float") from None
+    return TruncatedSeries(m=m, coeffs=coeffs)
 
 
 def exact_series(m: int, t: float) -> TruncatedSeries:

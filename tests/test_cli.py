@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from splitsim import cli
 from splitsim.cli import EXIT_ASSERTION, EXIT_INVALID, EXIT_OK, main
 
 
@@ -253,6 +254,8 @@ class TestExpand:
             [], {"steps": 5}, {"steps": [[1]]}, {"steps": [[1.5, 1.0]]}, {"steps": [[1, None]]},
             {"steps": [[1, float("inf")], [2, 0.5], [1, 0.5]]},  # written as Infinity
             {"steps": [[1, 1e300], [2, 1e300]]},  # the series overflows
+            # each duration cubed is finite, but the exact (1, 1, 2) coefficient is not
+            {"steps": [[1, 5e102], [1, 5e102], [2, 5e102], [2, 5e102]]},
         ],
     )
     def test_malformed_word_exits_two(self, tmp_path, capsys, doc):
@@ -402,3 +405,16 @@ class TestUsage:
 
     def test_no_arguments(self, capsys):
         assert main([]) == EXIT_INVALID
+
+    def test_parser_is_built_once_and_reused(self, tmp_path, capsys):
+        # A usage error leaves the shared parser fit for the next call, and
+        # the same call gives the same bytes.
+        cli._shared_parser.cache_clear()
+        outs = [tmp_path / f"lemma2-{i}.json" for i in range(2)]
+        assert main(["verify-lemma2", "--n", "x"]) == EXIT_INVALID
+        for out in outs:
+            assert main(["verify-lemma2", "--n", "3", "--out", str(out)]) == EXIT_OK
+        assert main(["frobnicate"]) == EXIT_INVALID
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        info = cli._shared_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 3)

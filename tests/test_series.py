@@ -1,4 +1,7 @@
+import itertools
+import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -146,26 +149,124 @@ def bits(s):
     return {word: (repr(c.real), repr(c.imag)) for word, c in s.coeffs.items()}
 
 
-class TestDenseWordSeries:
-    """word_series against the series_mul fold, bit for bit and key for key."""
+def brute_force_values(w):
+    """Exact r_n per word, with coefficient (-i)**n r_n, by brute force.
 
-    def test_random_words_match_the_fold(self):
+    A word of length n gathers one term per nondecreasing n-tuple of step
+    positions whose symbols spell it: the product of those durations over the
+    factorial of each repeated position's multiplicity.
+    """
+    out = {}
+    steps = [(k, Fraction(tau)) for k, tau in w.steps]
+    for n in (1, 2, 3):
+        for pos in itertools.combinations_with_replacement(range(len(steps)), n):
+            word = tuple(steps[i][0] for i in pos)
+            term = Fraction(1)
+            for i in pos:
+                term *= steps[i][1]
+            for i in set(pos):
+                term /= math.factorial(pos.count(i))
+            out[word] = out.get(word, 0) + term
+    return out
+
+
+def closed_form_values(w):
+    """Exact r_n per word, with coefficient (-i)**n r_n, from prefix sums.
+
+    With P_a(j) and S_a(j) the durations of symbol a strictly before and
+    strictly after step j, and T_a its total: r(a) = T_a, r(a,a) = T_a**2/2,
+    r(a,a,a) = T_a**3/6; r(a,b) sums tau_j P_a(j) over the b steps;
+    r(a,a,c) sums tau_j P_a(j)**2/2 over the c steps; r(a,b,b) sums
+    tau_j S_b(j)**2/2 over the a steps; any other r(a,b,c) sums
+    tau_j P_a(j) S_c(j) over the b steps.
+    """
+    steps = [(k, Fraction(tau)) for k, tau in w.steps]
+    symbols = sorted({k for k, _ in steps})
+    total = {a: sum(t for k, t in steps if k == a) for a in symbols}
+    before = []  # before[j][a] = P_a(j)
+    run = dict.fromkeys(symbols, Fraction(0))
+    for k, t in steps:
+        before.append(dict(run))
+        run[k] += t
+
+    def after(j, a):
+        return total[a] - before[j][a] - (steps[j][1] if steps[j][0] == a else 0)
+
+    def over(b, f):
+        return sum(t * f(j) for j, (k, t) in enumerate(steps) if k == b)
+
+    out = {}
+    for a in symbols:
+        out[(a,)] = total[a]
+        for b in symbols:
+            out[(a, b)] = total[a] ** 2 / 2 if a == b else over(b, lambda j: before[j][a])
+            for c in symbols:
+                if a == b == c:
+                    v = total[a] ** 3 / 6
+                elif a == b:
+                    v = over(c, lambda j: before[j][a] ** 2 / 2)
+                elif b == c:
+                    v = over(a, lambda j: after(j, b) ** 2 / 2)
+                else:
+                    v = over(b, lambda j: before[j][a] * after(j, c))
+                out[(a, b, c)] = v
+    return out
+
+
+def exact_bits(values):
+    """:func:`bits` of the series that rounds each nonzero exact r_n once,
+    as (-i)**n r_n; the empty word is always present."""
+    phase = {
+        1: lambda x: complex(0.0, -x), 2: lambda x: complex(-x, 0.0), 3: lambda x: complex(0.0, x),
+    }
+    coeffs = {(): 1.0 + 0j} | {w: phase[len(w)](float(v)) for w, v in values.items() if v}
+    return {word: (repr(c.real), repr(c.imag)) for word, c in coeffs.items()}
+
+
+def long_alg2_word(rng_seed, stages):
+    """Each stage applies terms 1-3 once, for 1/stages, in a random order."""
+    rng = random.Random(rng_seed)
+    steps = []
+    for _ in range(stages):
+        order = [1, 2, 3]
+        rng.shuffle(order)
+        steps += [(k, 1.0 / stages) for k in order]
+    return Word(tuple(steps))
+
+
+def random_short_word(rng, scales):
+    m = rng.randint(1, 5)
+    top = rng.randint(1, m)  # m above the word's largest index half the time
+    scale = rng.choice(scales)
+    steps = tuple(
+        (rng.randint(1, top), scale * rng.uniform(0.01, 2.0)) for _ in range(rng.randint(0, 9))
+    )
+    return Word(steps), m
+
+
+class TestExactWordSeries:
+    """word_series against independent Fraction oracles: every coefficient
+    is the correctly rounded exact value, and the keys are exactly the words
+    whose exact coefficient is nonzero."""
+
+    def test_random_short_words_equal_the_brute_force(self):
         rng = random.Random(2024)
-        checked = 0
-        for _ in range(4000):
-            m = rng.randint(1, 5)
-            top = rng.randint(1, m)  # m above the word's largest index half the time
+        checked = overflowed = 0
+        for _ in range(600):
             # tau**2 and tau**3 underflow at the small scales; at 2e102 sums of
-            # degree-3 products overflow to inf and nan.
-            scale = rng.choice([1.0, 1.0, 1e-110, 1e-160, 1e-300, 2e102])
-            steps = tuple(
-                (rng.randint(1, top), scale * rng.uniform(0.01, 2.0))
-                for _ in range(rng.randint(0, 9))
-            )
-            w = Word(steps)
-            assert bits(word_series(w, m)) == bits(series_mul_fold(w, m))
+            # degree-3 products exceed the float range.
+            w, m = random_short_word(rng, [1.0, 1.0, 1e-110, 1e-160, 1e-300, 2e102])
+            exact = brute_force_values(w)
+            try:
+                expected = exact_bits(exact)
+            except OverflowError:
+                with pytest.raises(OverflowError, match="overflows a float"):
+                    word_series(w, m)
+                overflowed += 1
+                continue
+            assert bits(word_series(w, m)) == expected
             checked += 1
-        assert checked == 4000
+        assert checked > 400 and overflowed > 10
 
     @pytest.mark.parametrize(
         "rng_seed, stages, m",
@@ -173,28 +274,57 @@ class TestDenseWordSeries:
         # The benchmark's lemma2-obstruction expand word at seeds 1-3.
         + [(f"splitsim-bench:lemma2-obstruction:{seed}", 200, 3) for seed in (1, 2, 3)],
     )
-    def test_long_alg2_word_matches_the_fold(self, rng_seed, stages, m):
-        # Each stage applies terms 1-3 once, for 1/stages, in a random order.
-        rng = random.Random(rng_seed)
-        steps = []
-        for _ in range(stages):
-            order = [1, 2, 3]
-            rng.shuffle(order)
-            steps += [(k, 1.0 / stages) for k in order]
-        w = Word(tuple(steps))
-        assert bits(word_series(w, m)) == bits(series_mul_fold(w, m))
+    def test_long_alg2_word_equals_the_closed_form(self, rng_seed, stages, m):
+        w = long_alg2_word(rng_seed, stages)
+        assert bits(word_series(w, m)) == exact_bits(closed_form_values(w))
 
-    def test_exact_zeros_and_overflow_follow_the_fold(self):
-        # 5e-324 squared is an exact 0, which the fold drops one step later.
-        # 5e102 cubed is finite, but sums of such products overflow; the fold
-        # then turns an untouched inf into nan on every later step.
-        for steps in (
-            ((1, 5e-324), (2, 1.0), (1, 5e-324), (3, 0.5)),
+    def test_closed_form_equals_the_brute_force(self):
+        # The two oracles share no code; on short words they agree exactly.
+        rng = random.Random(7)
+        for _ in range(60):
+            w, _ = random_short_word(rng, [1.0])
+            nonzero = {word: v for word, v in closed_form_values(w).items() if v}
+            assert nonzero == brute_force_values(w)
+
+    def test_fold_stays_within_a_few_ulps(self):
+        # The floating-point fold rounds at every step; on these words it
+        # stays within 8 * 2**-52 relative of the exact values (worst 6.8).
+        rng = random.Random(11)
+        words = [random_short_word(rng, [1.0]) for _ in range(300)]
+        words += [
+            (long_alg2_word(f"splitsim-bench:lemma2-obstruction:{seed}", 200), 3)
+            for seed in (1, 2, 3)
+        ]
+        for w, m in words:
+            exact, fold = word_series(w, m).coeffs, series_mul_fold(w, m).coeffs
+            assert exact.keys() == fold.keys()
+            for word, c in exact.items():
+                assert abs(fold[word] - c) <= 8 * 2.0**-52 * abs(c)
+
+    def test_underflowing_coefficient_keeps_its_key(self):
+        # (5e-324)**2 / 2 rounds to 0.0, but the exact coefficient is nonzero.
+        w = Word(((1, 5e-324), (2, 1.0), (1, 5e-324), (3, 0.5)))
+        s = word_series(w, 3)
+        assert s.coeffs[(1, 1)] == 0 and s.coeffs[(1, 2, 1)] == 0
+        assert s.coeffs[(1, 2)] == -5e-324 + 0j
+        assert (3, 1) not in s.coeffs  # no step of 1 follows the step of 3
+        assert bits(s) == exact_bits(brute_force_values(w))
+
+    @pytest.mark.parametrize(
+        "steps",
+        [
             ((1, 5e102), (1, 5e102), (2, 5e102), (2, 5e102), (3, 1.0), (1, 1.0), (3, 2.0)),
             ((1, 5e102), (2, 5e102), (1, 5e102), (2, 5e102), (3, 1.0), (3, 1.0)),
-        ):
-            w = Word(steps)
-            assert bits(word_series(w, 3)) == bits(series_mul_fold(w, 3))
+        ],
+        ids=["blocks", "alternating"],
+    )
+    def test_coefficient_beyond_the_float_range_raises(self, steps):
+        # Each duration cubed is finite, but the exact (1, 1, 2) sum, the
+        # first in (length, lexicographic) order, exceeds the range.
+        with pytest.raises(OverflowError, match=r"coefficient of word \(1, 1, 2\) overflows a float"):
+            word_series(Word(steps), 3)
+
+    def test_overflowing_step_duration_is_named(self):
         with pytest.raises(OverflowError, match=r"step duration 1e\+110"):
             word_series(Word(((1, 1e110),)), 2)
 

@@ -14,7 +14,10 @@ Times, as the median of repeated calls in this process:
 * one ``_sweep`` of pair moves from the uniform point at n = 16 and 32, the
   inner loop of the Lemma-2 polish;
 * ``word_series`` of a 600-step alg2 word at m = 3 (200 stages, each term
-  once per stage in a seeded random order), the series behind ``expand``.
+  once per stage in a seeded random order), the series behind ``expand``;
+* ``cli.main(["verify-lemma2", "--n", "3", "--out", FILE])``, the per-call
+  floor of the command line in one process: argument parsing, a tiny search
+  and the JSON write.
 
 It prints one JSON line that also records the numpy and BLAS versions and
 the BLAS thread setting. It takes no options and under a minute:
@@ -24,12 +27,15 @@ the BLAS thread setting. It takes no options and under a minute:
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import platform
 import random
 import statistics
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -39,6 +45,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
+from splitsim import cli  # noqa: E402
 from splitsim.bounds import _sweep, lemma2_max  # noqa: E402
 from splitsim.channels import (  # noqa: E402
     _liouville_matrix,
@@ -109,6 +116,10 @@ def main() -> int:
     rng = random.Random(SEED)
     word = Word(tuple(step for _ in range(200) for step in rng.choice(stage.entries)[1].steps))
     kernels["word_series_alg2_m3_600"] = _timed(lambda: word_series(word, 3), 7)
+    # verify-lemma2 prints one line per call; keep it out of the record.
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        argv = ["verify-lemma2", "--n", "3", "--out", os.path.join(tmp, "lemma2.json")]
+        kernels["cli_verify_lemma2_n3"] = _timed(lambda: cli.main(argv), 25)
     probs, us, rhos, path = _evolve_case(24, 3, 256)
     kernels["liouville_matrix_d24_m3"] = _timed(lambda: _liouville_matrix(probs, us), 7)
     kernels["evolve_states_d24_m3_K256"] = {
