@@ -10,10 +10,11 @@ once; the mean unitary, the expected squared deviation and propagation all
 read that stack.
 
 The Lemma-1 bound report is stack-first: :func:`_lemma1_reports` evaluates
-n instances whose word stacks share one shape (in the campaign, one scheme,
-d and m) with one numpy call per check, product and norm, and
-:func:`lemma1_report` is its one-instance case. Every stacked call keeps the operand shapes of one instance, so each
-report is bit for bit the one that instance gives alone.
+the instances of one dimension, their word stacks in parts of one word
+count, with one stacked norm call per bound term and one density check, and
+:func:`lemma1_report` is its one-instance case. Every stacked call keeps the
+operand shapes of one instance, so each report is bit for bit the one that
+instance gives alone.
 
 :func:`evolve_states` is the evaluation core. It applies K stages of a
 stacked mixture to a stack of density matrices along one of two exact paths:
@@ -310,16 +311,18 @@ def mean_unitary(probs: np.ndarray, us: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sq_deviations(probs: np.ndarray, us: np.ndarray, u0: np.ndarray) -> list[float]:
-    """:func:`expected_sq_deviation` of each of n problems, stacked as probs
-    (n, M), words (n, M, d, d) and references (n, d, d); all the norms come
-    from one stacked SVD."""
-    n, n_words, d, _ = us.shape
-    norms = spectral_norms((us - u0[:, None]).reshape(-1, d, d))
-    return [
-        float(sum(p * x**2 for p, x in zip(row, norms[i * n_words : (i + 1) * n_words])))
-        for i, row in enumerate(probs.tolist())
-    ]
+def _sq_deviations(u0: np.ndarray, parts) -> list[float]:
+    """:func:`expected_sq_deviation` of n problems in row order, with
+    references ``u0`` (n, d, d) and the word stacks of ``parts`` as in
+    :func:`_lemma1_reports`; all the norms come from one stacked SVD."""
+    d = u0.shape[-1]
+    devs = [(us - u0[rows][:, None]).reshape(-1, d, d) for rows, _, us in parts]
+    norms = iter(spectral_norms(np.concatenate(devs)))
+    out = [0.0] * len(u0)
+    for rows, probs, _ in parts:
+        for row, p_row in zip(rows, probs.tolist()):
+            out[row] = float(sum(p * x**2 for p, x in zip(p_row, norms)))
+    return out
 
 
 def expected_sq_deviation(probs: np.ndarray, us: np.ndarray, u0: np.ndarray) -> float:
@@ -328,7 +331,7 @@ def expected_sq_deviation(probs: np.ndarray, us: np.ndarray, u0: np.ndarray) -> 
     u0 = np.asarray(u0, dtype=complex)
     if u0.shape != us.shape[1:]:
         raise ValueError(f"reference unitary has shape {u0.shape}, expected {us.shape[1:]}")
-    return _sq_deviations(probs[None], us[None], u0[None])[0]
+    return _sq_deviations(u0[None], [([0], probs[None], us[None])])[0]
 
 
 @dataclass(frozen=True)
@@ -359,21 +362,27 @@ def _require_pure(psi0s: np.ndarray) -> None:
 
 
 def _lemma1_reports(
-    u0: np.ndarray, probs: np.ndarray, us: np.ndarray, rho0s: np.ndarray, psi0s: np.ndarray
+    u0: np.ndarray, rho0s: np.ndarray, psi0s: np.ndarray, parts
 ) -> list[BoundReport]:
-    """:func:`lemma1_report` of n instances at once, each value bit for bit.
+    """:func:`lemma1_report` of n instances of one dimension, each value bit
+    for bit, in row order.
 
-    Instance i has the exact evolution ``u0[i]`` (d, d), the word stack
-    ``(probs[i], us[i])`` of its mixture and validated states ``rho0s[i]``
-    and pure ``psi0s[i]``. Every check, product and norm runs once on the
-    whole (n, ...) stack.
+    Instance i has the exact evolution ``u0[i]`` (d, d) and validated states
+    ``rho0s[i]`` and pure ``psi0s[i]``. Each part (rows, probs (r, M), us
+    (r, M, d, d)) holds the word stacks of the instances ``rows``; every
+    instance is in one part, and M may differ between parts. The means, the
+    word deviations, the input differences and the outputs each take one
+    stacked norm call, and one density check covers outputs and targets.
     """
     _require_pure(psi0s)
-    mean_dev = spectral_norms(mean_unitary(probs, us) - u0)
-    sq_dev = _sq_deviations(probs, us, u0)
+    means, out = np.empty_like(u0), np.empty_like(rho0s)
+    for rows, probs, us in parts:
+        means[rows] = mean_unitary(probs, us)
+        # One stage of one state: the direct path, cheaper than Liouville for d >= 2.
+        out[rows] = _evolve_direct(probs, us, 1, rho0s[rows][:, None])[:, 0]
+    mean_dev = spectral_norms(means - u0)
+    sq_dev = _sq_deviations(u0, parts)
     input_dist = trace_norms(rho0s - psi0s)
-    # One stage of one state: the direct path, cheaper than Liouville for d >= 2.
-    out = _evolve_direct(probs, us, 1, rho0s[:, None])[:, 0]
     target = u0 @ psi0s @ np.swapaxes(u0.conj(), -1, -2)
     _require_densities(np.concatenate([out, target]), CHANNEL_OUTPUT_ATOL)
     reports = []
@@ -407,4 +416,5 @@ def lemma1_report(
         )
     probs, us = word_stack(ts, mix)
     u0 = exact_evolution(ts, t)
-    return _lemma1_reports(u0[None], probs[None], us[None], rho0.mat[None], psi0.mat[None])[0]
+    parts = [([0], probs[None], us[None])]
+    return _lemma1_reports(u0[None], rho0.mat[None], psi0.mat[None], parts)[0]

@@ -22,6 +22,10 @@ outside a relative band of 1e-3 around eps, which certifies every smaller
 local power law is at most 3.6e-5, so this is the K a probe at every step
 finds. Each cell is then checked on probed values, error(K) <= eps <
 error(K - 1), and walked again with a probe at every step if the check fails.
+
+The Lemma-1 campaign (:func:`lemma1_campaign`) evaluates each shard in
+chunks of 500 instances, one stack per dimension, every report bit for bit
+the one its instance gives alone.
 """
 
 from __future__ import annotations
@@ -114,13 +118,13 @@ _WARM_UP_PROBES = 6
 # Fewest Lemma-1 campaign instances per shard: a campaign shorter than two
 # shards' worth runs in process, where forking a worker costs more than it saves.
 _MIN_SHARD_INSTANCES = 250
-# A shard evaluates its instances in chunks of this many, stacked by shape.
-# Per-stack overhead dominates small chunks and the stacks' memory large
-# ones: a 500-instance shard took 0.19, 0.16, 0.11 and 0.095 s in chunks of
-# 64, 125, 250 and 500 (one core, 2-vCPU VM), against 0.29 s one instance
-# at a time, while `bound-check --instances 100000` peaked 0.3, 0.6 and
-# 1.3 MB above the one-at-a-time evaluation at 125, 250 and 500.
-_CHUNK_INSTANCES = 250
+# A shard evaluates its instances in chunks of this many, one stack per
+# dimension. Per-stack overhead dominates small chunks and the stacks' memory
+# large ones: a 500-instance shard takes 0.18, 0.14, 0.10 and 0.09 s in chunks
+# of 64, 125, 250 and 500 (one core, one BLAS thread, 2-vCPU VM), and the
+# caller of `bound-check --instances 100000` peaks at 40.0 and 41.0 MB in
+# chunks of 250 and 500. A 500-instance shard is one chunk.
+_CHUNK_INSTANCES = 500
 
 # Default time grids for the cost cross-check, one per scheme. First-order
 # coherent error stops accumulating once ||H|| * t passes the inverse level
@@ -592,70 +596,73 @@ def _campaign_states(d: int, insts: list[_Instance]) -> tuple[np.ndarray, np.nda
     return rho0s, psi0s
 
 
-def _evaluate_term_sets(d: int, m: int | None, insts: list[_Instance]) -> tuple:
-    """Tally (see :func:`_merge_tallies`) of instances of one dimension and
-    term count (``m`` None for the commuting controls), its violation
-    records grouped by scheme.
+def _evaluate_dimension(d: int, insts: list[_Instance]) -> tuple:
+    """Tally (see :func:`_merge_tallies`) of instances of one dimension,
+    commuting controls included, its violation records in no set order.
 
-    Term sets, exact evolutions and input states are built once for the
-    whole stack. Each scheme's instances then share the words of their
-    mixtures, so their word stacks and bound reports are one stack each;
-    only a violation record rebuilds its instance's term set and mixture.
+    Term sets and spectra are built once per term count (``m`` None for the
+    controls), word stacks once per (m, scheme), as their shapes differ.
+    Exact evolutions, input states and bound reports are one stack each;
+    only a violation record rebuilds its instance's term set.
     """
-    if m is None:
-        terms = np.zeros((len(insts), 2, d, d), dtype=complex)
-        terms[:, :, range(d), range(d)] = [inst.diagonals for inst in insts]
-    else:
-        terms = _random_term_stack(d, m, 1.0, [inst.seed for inst in insts])
-    w, v = _term_spectra(terms)
-    u0 = _expm_hermitians(_totals(terms), [inst.dt for inst in insts])
-    rho0s, psi0s = _campaign_states(d, insts)
-    # The stage builders read only the term count, the same for every row.
-    count_ts = TermSet(tuple(terms[0]))
-    schemes: dict[str, list[int]] = {}
+    groups: dict = {}
     for row, inst in enumerate(insts):
-        schemes.setdefault(inst.scheme, []).append(row)
+        groups.setdefault(inst.m, []).append(row)
+    totals = np.empty((len(insts), d, d), dtype=complex)
+    kept, parts = [None] * len(insts), []  # per row: its terms and stage mixture
+    for m, rows in groups.items():
+        if m is None:
+            terms = np.zeros((len(rows), 2, d, d), dtype=complex)
+            terms[:, :, range(d), range(d)] = [insts[row].diagonals for row in rows]
+        else:
+            terms = _random_term_stack(d, m, 1.0, [insts[row].seed for row in rows])
+        totals[rows] = _totals(terms)
+        w, v = _term_spectra(terms)
+        # The stage builders read only the term count, the same for every row.
+        count_ts = TermSet(tuple(terms[0]))
+        schemes: dict[str, list[int]] = {}
+        for i, row in enumerate(rows):
+            schemes.setdefault(insts[row].scheme, []).append(i)
+        for scheme, idx in schemes.items():
+            build = _STAGE_MIXTURES["trotter" if m is None else scheme]
+            probs, taus = [], []
+            for i in idx:
+                mix = build(count_ts, insts[rows[i]].dt)
+                kept[rows[i]] = terms[i], mix
+                words, slots = _word_plan([word for _, word in mix.entries], count_ts.m)
+                probs.append([p for p, _ in mix.entries])
+                taus.append([tau for _, tau in slots])
+            us = _word_unitaries(w[idx], v[idx], words, slots, taus)
+            parts.append(([rows[i] for i in idx], np.array(probs), us))
+    u0 = _expm_hermitians(totals, [inst.dt for inst in insts])
+    reports = _lemma1_reports(u0, *_campaign_states(d, insts), parts)
     violations, best = [], [0.0, 0.0, 0.0]
-    for scheme, rows in schemes.items():
-        build = _STAGE_MIXTURES["trotter" if m is None else scheme]
-        probs, taus = [], []
-        for row in rows:
-            mix = build(count_ts, insts[row].dt)
-            words, slots = _word_plan([w for _, w in mix.entries], count_ts.m)
-            probs.append([p for p, _ in mix.entries])
-            taus.append([tau for _, tau in slots])
-        us = _word_unitaries(w[rows], v[rows], words, slots, taus)
-        reports = _lemma1_reports(u0[rows], np.array(probs), us, rho0s[rows], psi0s[rows])
-        for row, rep in zip(rows, reports):
-            if rep.observed_raw > rep.bound + DOMINANCE_SLACK:
-                inst = insts[row]
-                violations.append({
-                    "index": inst.index,
-                    "scheme": inst.scheme,
-                    "dt": inst.dt,
-                    "report": rep.to_json(),
-                    "termset": termset_to_json(TermSet(tuple(terms[row]))),
-                    "mixture": mixture_to_json(build(count_ts, inst.dt)),
-                })
-            if m is not None:
-                scales = (rep.bound, rep.mean_dev, rep.sq_dev)
-                ratios = (rep.observed / s if s > 1e-12 else 0.0 for s in scales)
-                best = [max(b, r) for b, r in zip(best, ratios)]
-    return violations, len(insts) if m is None else 0, *best
+    for inst, (terms, mix), rep in zip(insts, kept, reports):
+        if rep.observed_raw > rep.bound + DOMINANCE_SLACK:
+            violations.append({
+                "index": inst.index,
+                "scheme": inst.scheme,
+                "dt": inst.dt,
+                "report": rep.to_json(),
+                "termset": termset_to_json(TermSet(tuple(terms))),
+                "mixture": mixture_to_json(mix),
+            })
+        if inst.m is not None:
+            scales = (rep.bound, rep.mean_dev, rep.sq_dev)
+            ratios = (rep.observed / s if s > 1e-12 else 0.0 for s in scales)
+            best = [max(b, r) for b, r in zip(best, ratios)]
+    return violations, len(groups.get(None, ())), *best
 
 
 def _evaluate_chunk(chunk: list[_Instance]) -> tuple:
-    """Tally of consecutive instances, evaluated one (d, m) stack at a time.
-
+    """Tally of consecutive instances, evaluated one dimension at a time.
     Ratios are finite and non-negative, so their maxima do not depend on the
-    order in which the stacks are merged; violations are put back in index
-    order.
-    """
-    term_sets: dict[tuple, list[_Instance]] = {}
+    merge order; violations are put back in index order."""
+    dims: dict[int, list[_Instance]] = {}
     for inst in chunk:
-        term_sets.setdefault((inst.d, inst.m), []).append(inst)
+        dims.setdefault(inst.d, []).append(inst)
     violations, n_controls, *best = _merge_tallies(
-        _evaluate_term_sets(d, m, insts) for (d, m), insts in term_sets.items()
+        _evaluate_dimension(d, insts) for d, insts in dims.items()
     )
     violations.sort(key=operator.itemgetter("index"))
     return violations, n_controls, *best
@@ -791,10 +798,10 @@ def lemma1_campaign(n_instances: int, seed: int) -> CampaignReport:
     the caller takes the first shard and forked children the rest. Each
     shard draws that one seeded stream up to its last instance and
     evaluates its own instances in chunks of ``_CHUNK_INSTANCES``. A chunk
-    is split by (d, m), with the commuting controls apart: term sets, exact
-    evolutions and input states are built once per (d, m) stack, word stacks
-    and the rest of the bound report once per (scheme, d, m)
-    (:func:`_evaluate_term_sets`). Every check, decomposition, product and
+    is split by dimension d, commuting controls included: term sets and
+    spectra are built once per (d, m), word stacks once per (d, m, scheme),
+    and exact evolutions, input states and bound reports once per d
+    (:func:`_evaluate_dimension`). Every check, decomposition, product and
     norm runs on whole stacks, and each report is bit for bit the one
     :func:`splitsim.channels.lemma1_report` gives for that instance alone. A
     violation record rebuilds its term set from the stack. A shard keeps at

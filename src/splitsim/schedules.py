@@ -271,18 +271,19 @@ def _is_number(x, kind) -> bool:
 
 def word_from_json(doc: dict) -> Word:
     """Inverse of :func:`word_to_json`; rejects anything but
-    ``{"steps": [[index, duration], ...]}`` with ValueError."""
+    ``{"steps": [[index, duration], ...]}`` with ValueError.
+
+    Only the JSON types are checked here; :class:`Word` converts and checks
+    each step's values, once."""
     if not isinstance(doc, dict) or not isinstance(doc.get("steps"), list):
         raise ValueError('a word must be a JSON object {"steps": [[index, duration], ...]}')
-    steps = []
     for i, step in enumerate(doc["steps"]):
         pair = isinstance(step, list) and len(step) == 2
         if not (
             pair and _is_number(step[0], numbers.Integral) and _is_number(step[1], numbers.Real)
         ):
             raise ValueError(f"step {i} must be an [index, duration] pair of numbers, got {step!r}")
-        steps.append((int(step[0]), float(step[1])))
-    return Word(tuple(steps))
+    return Word(tuple(doc["steps"]))
 
 
 def mixture_to_json(mix: UnitaryMixture) -> dict:

@@ -5,8 +5,9 @@
 report and the SHA-256 of its violation record (``stable_json_dumps``). With
 ``DOMINANCE_SLACK`` patched to -10 every instance is a violation, so every
 report is recorded, controls included. The campaign covers every
-(scheme, d, m) the generator draws, pure and mixed inputs, and is longer
-than two chunks of the stacked evaluation, so it crosses chunk boundaries.
+(scheme, d, m) the generator draws, pure and mixed inputs. It is checked at
+the production chunk size and with ``_CHUNK_INSTANCES`` patched to 250 and
+64, where it is longer than two chunks and so crosses chunk boundaries.
 The file was recorded from the one-instance-at-a-time evaluation that came
 before it; every float and every record must come back exactly.
 
@@ -51,15 +52,22 @@ def golden():
     return json.loads(GOLDEN_PATH.read_text())
 
 
+def _fresh(chunk=None) -> list[dict]:
+    """:func:`_records` as JSON data, with ``_CHUNK_INSTANCES`` patched to
+    ``chunk`` unless it is None."""
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:
+            mp.setattr(splitsim.harness, "_CHUNK_INSTANCES", chunk)
+        return json.loads(json.dumps(_records(mp)))
+
+
 @pytest.fixture(scope="module")
 def fresh():
-    with pytest.MonkeyPatch.context() as mp:
-        return json.loads(json.dumps(_records(mp)))
+    return _fresh()
 
 
 def test_golden_covers_every_instance_kind(golden):
     assert golden["n_instances"] == N_INSTANCES and golden["seed"] == SEED
-    assert N_INSTANCES > 2 * splitsim.harness._CHUNK_INSTANCES
     cases = golden["instances"]
     assert [c["index"] for c in cases] == list(range(N_INSTANCES))
     random_keys = {(c["scheme"], c["d"], c["m"]) for c in cases if c["scheme"] != "control"}
@@ -70,12 +78,22 @@ def test_golden_covers_every_instance_kind(golden):
     assert mixed == {False, True}
 
 
-def test_every_report_and_record_is_unchanged(golden, fresh):
+def _assert_unchanged(fresh, golden):
     assert len(fresh) == len(golden["instances"])
     for got, want in zip(fresh, golden["instances"]):
         assert got["report"] == want["report"], got["index"]
         assert got["sha256"] == want["sha256"], got["index"]
         assert got == want
+
+
+def test_every_report_and_record_is_unchanged(golden, fresh):
+    _assert_unchanged(fresh, golden)
+
+
+@pytest.mark.parametrize("chunk", [250, 64])
+def test_every_report_and_record_is_unchanged_across_chunks(golden, chunk):
+    assert N_INSTANCES > 2 * chunk
+    _assert_unchanged(_fresh(chunk), golden)
 
 
 if __name__ == "__main__":

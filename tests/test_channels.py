@@ -5,6 +5,7 @@ from splitsim.channels import (
     _basis_pairs,
     _evolve_direct,
     _evolve_liouville,
+    _lemma1_reports,
     _propagation_path,
     apply_channel,
     channel_power,
@@ -30,6 +31,7 @@ from splitsim.schedules import (
     alg1_stage_mixture,
     alg2_stage_mixture,
     mixture_power,
+    strang_word,
     trotter_word,
     word_unitary,
 )
@@ -264,6 +266,49 @@ class TestLemma1Report:
             b2.append(2 * rep2.mean_dev + rep2.sq_dev)
         assert abs(b1[0] / b1[1] - 4.0) <= 1.0
         assert abs(b2[0] / b2[1] - 8.0) <= 2.0
+
+    def test_stacked_parts_equal_one_call_per_part(self, rng):
+        # Four parts of one dimension with 3, 6, 1 and 1 words (alg1, alg2,
+        # trotter, strang at m = 3), their rows interleaved; odd rows mixed.
+        builders = (
+            alg1_stage_mixture,
+            alg2_stage_mixture,
+            lambda ts, dt: UnitaryMixture(((1.0, trotter_word(ts, dt, 1)),)),
+            lambda ts, dt: UnitaryMixture(((1.0, strang_word(ts, dt, 1)),)),
+        )
+        d, n = 4, 12
+        instances = []
+        for row in range(n):
+            ts = random_termset(d, 3, 1.0, seed=40 + row)
+            dt = 0.03 * (row + 1)
+            psi = pure_density(random_unit_vector(rng, d))
+            rho = psi if row % 2 == 0 else DensityMatrix(
+                0.7 * psi.mat + 0.3 * np.asarray(random_density_mat(rng, d))
+            )
+            instances.append((ts, builders[row % 4](ts, dt), dt, rho, psi))
+        u0 = np.array([exact_evolution(ts, dt) for ts, _, dt, _, _ in instances])
+        rho0s = np.array([rho.mat for *_, rho, _ in instances])
+        psi0s = np.array([psi.mat for *_, psi in instances])
+        parts = []
+        for b in range(4):
+            rows = list(range(b, n, 4))
+            stacks = [word_stack(instances[r][0], instances[r][1]) for r in rows]
+            parts.append((rows, np.array([p for p, _ in stacks]), np.array([u for _, u in stacks])))
+        assert sorted({part[2].shape[1] for part in parts}) == [1, 3, 6]
+        stacked = _lemma1_reports(u0, rho0s, psi0s, parts)
+        assert stacked == [lemma1_report(*inst) for inst in instances]
+        for rows, probs, us in parts:
+            alone = _lemma1_reports(u0[rows], rho0s[rows], psi0s[rows], [([0, 1, 2], probs, us)])
+            assert [stacked[r] for r in rows] == alone
+
+        ts, mix, dt, rho, _ = instances[5]
+        with pytest.raises(ValueError) as want:
+            lemma1_report(ts, mix, dt, rho, rho)
+        psi0s[5] = rho0s[5]
+        with pytest.raises(ValueError) as got:
+            _lemma1_reports(u0, rho0s, psi0s, parts)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("psi0 must be a pure state, got purity ")
 
     def test_report_serializes(self, ts, rng):
         psi = pure_density(random_unit_vector(rng, 4))

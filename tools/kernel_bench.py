@@ -18,6 +18,9 @@ Times, as the median of repeated calls in this process:
 * ``cli.main(["verify-lemma2", "--n", "3", "--out", FILE])``, the per-call
   floor of the command line in one process: argument parsing, a tiny search
   and the JSON write.
+* ``_shard_outcomes(7, 0, 500)``, one 500-instance shard of the Lemma-1
+  campaign (one evaluation chunk) evaluated in process, with its
+  ``tracemalloc`` peak.
 
 It prints one JSON line that also records the numpy and BLAS versions and
 the BLAS thread setting. It takes no options and under a minute:
@@ -53,7 +56,7 @@ from splitsim.channels import (  # noqa: E402
     evolve_states,
     word_stack,
 )
-from splitsim.harness import _projectors, state_panel  # noqa: E402
+from splitsim.harness import _projectors, _shard_outcomes, state_panel  # noqa: E402
 from splitsim.hamiltonians import random_termset  # noqa: E402
 from splitsim.schedules import Word, alg2_stage_mixture  # noqa: E402
 from splitsim.series import s_value, word_series  # noqa: E402
@@ -120,6 +123,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         argv = ["verify-lemma2", "--n", "3", "--out", os.path.join(tmp, "lemma2.json")]
         kernels["cli_verify_lemma2_n3"] = _timed(lambda: cli.main(argv), 25)
+    kernels["campaign_shard_500"] = _timed(lambda: _shard_outcomes(SEED, 0, 500), 7, traced=True)
     probs, us, rhos, path = _evolve_case(24, 3, 256)
     kernels["liouville_matrix_d24_m3"] = _timed(lambda: _liouville_matrix(probs, us), 7)
     kernels["evolve_states_d24_m3_K256"] = {

@@ -35,9 +35,9 @@ SEEDS = (1, 2, 3)
 # Name, then the scaling config or the bound-check arguments. The scaling
 # configs are the README example, list-form t_values with a couplings object
 # and a k_cap that leaves failures, and mapping-form t_values with a
-# panel_size. The 1,000-instance campaign is the one that CI also runs in
-# process and sharded; the 2,500-instance one has shards longer than one
-# evaluation chunk, so its shards cross chunk boundaries.
+# panel_size. CI also runs both campaigns in process and sharded; only the
+# 2,500-instance one has shards longer than one evaluation chunk, so its
+# shards cross chunk boundaries.
 EXTRA_CALLS = (
     ("scaling-readme", {"schemes": ["strang", "alg2"], "fixed_eps": 1e-4, "fixed_t": 1.0}),
     ("scaling-list", {
