@@ -28,7 +28,6 @@ __all__ = [
     "ScheduleAudit",
     "audit_schedule",
     "lemma2_max",
-    "lemma2_uniform_value",
 ]
 
 # Newton steps per polish round; no default run for n <= 64 took more than 6.
@@ -248,15 +247,6 @@ def lemma2_max(n: int) -> Lemma2Result:
         raise ValueError(f"n={n} is above the supported maximum of {LEMMA2_MAX_N} coordinates")
     x, v = _polish([2.0 / n] * n)
     return Lemma2Result(n=n, max_s=v, argmax=tuple(x))
-
-
-def lemma2_uniform_value(n: int) -> float:
-    """Closed form (1/3)(1 - 1/n^2) of S at the uniform point, odd n only."""
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
-    if n % 2 == 0:
-        raise ValueError(f"the closed form holds for odd n only, got {n}")
-    return (1.0 / 3.0) * (1.0 - 1.0 / n**2)
 
 
 @dataclass(frozen=True)

@@ -41,10 +41,7 @@ def _emit(doc: dict, out: str | None) -> None:
 def _cmd_simulate(args) -> int:
     cfg = harness.RunConfig.from_json(_load_json(args.config))
     points = [{"K": k, "N": n, "error": e} for k, n, e in harness.k_list_errors(cfg)[1]]
-    _emit(
-        {"scheme": cfg.scheme, "t": cfg.t, "config": cfg.to_json(), "points": points},
-        args.out or cfg.out,
-    )
+    _emit({"scheme": cfg.scheme, "t": cfg.t, "config": cfg.to_json(), "points": points}, args.out)
     return EXIT_OK
 
 
@@ -111,7 +108,7 @@ def _cmd_expand(args) -> int:
 
 def _cmd_scaling(args) -> int:
     cfg = harness.ScalingConfig.from_json(_load_json(args.config))
-    _emit(harness.scaling_cross_check(cfg).to_json(), args.out or cfg.out)
+    _emit(harness.scaling_cross_check(cfg).to_json(), args.out)
     return EXIT_OK
 
 

@@ -20,7 +20,6 @@ from .config import (
 )
 from .matkernel import (
     _hermitian_violations,
-    _spectral_exp,
     _spectrum,
     as_complex_matrix,
     spectral_norm,
@@ -61,8 +60,8 @@ class TermSet:
     """m >= 2 Hermitian matrices of a common square shape.
 
     Each term is decomposed once, right after validation: ``spectra`` holds
-    its read-only (eigenvalues, eigenvectors) pair, and :meth:`exp` builds
-    every term exponential from it.
+    its read-only (eigenvalues, eigenvectors) pair, and the word unitaries of
+    :mod:`splitsim.schedules` build every term exponential from it.
     """
 
     terms: tuple[np.ndarray, ...]
@@ -94,12 +93,6 @@ class TermSet:
     @property
     def m(self) -> int:
         return len(self.terms)
-
-    def exp(self, index: int, tau: float) -> np.ndarray:
-        """``exp(-i H_index tau)`` (1-based index) from the stored spectrum."""
-        if not 1 <= index <= self.m:
-            raise ValueError(f"term index {index} out of range 1..{self.m}")
-        return _spectral_exp(*self.spectra[index - 1], tau)
 
 
 def _totals(terms: np.ndarray) -> np.ndarray:

@@ -115,6 +115,12 @@ _PANEL_SIZE = 16
 _CERTIFICATE_MARGIN = 1e-3
 _AIM = 1.5
 _WARM_UP_PROBES = 6
+# A sweep fit of five or more points whose largest-K log residual exceeds the
+# tolerance is refitted without the two smallest K, where the preasymptotic
+# bend sits. Constants, not config fields: every run fits this way, and no
+# workload, tool or example sets another value.
+_DROP_BEND_POINTS = True
+_BEND_RESIDUAL_TOL = 0.25
 # Fewest Lemma-1 campaign instances per shard: a campaign shorter than two
 # shards' worth runs in process, where forking a worker costs more than it saves.
 _MIN_SHARD_INSTANCES = 250
@@ -221,9 +227,6 @@ class RunConfig:
     m: int = 2
     norm_bound: float = 1.0
     panel_size: int = _PANEL_SIZE
-    drop_bend_points: bool = True
-    bend_residual_tol: float = 0.25
-    out: str | None = None
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -241,16 +244,6 @@ class RunConfig:
                 raise ValueError(f"{name}={value} is above the supported maximum {cap}")
         _require_int("seed", self.seed, 0)
         _require_panel(self.panel_size)
-        if not isinstance(self.drop_bend_points, bool):
-            raise ValueError(
-                f"drop_bend_points must be true or false, got {self.drop_bend_points!r}"
-            )
-        # Zero is allowed: it marks every sweep of five or more points as bent.
-        _require_finite("bend_residual_tol", self.bend_residual_tol)
-        if self.bend_residual_tol < 0:
-            raise ValueError(f"bend_residual_tol must be >= 0, got {self.bend_residual_tol}")
-        if self.out is not None and not isinstance(self.out, str):
-            raise ValueError(f"out must be a path string or null, got {self.out!r}")
         if not hasattr(self.k_list, "__iter__"):
             raise ValueError(f"k_list must be a list of integers, got {self.k_list!r}")
         ks = tuple(_require_int("segment count", k, 1) for k in self.k_list)
@@ -290,7 +283,6 @@ class ScalingConfig:
     seed: int = 7
     panel_size: int = _PANEL_SIZE
     k_cap: int = SCALING_MAX_K_CAP
-    out: str | None = None
 
     def __post_init__(self):
         schemes = self.schemes
@@ -326,8 +318,6 @@ class ScalingConfig:
         _require_panel(self.panel_size)
         if _require_int("k_cap", self.k_cap, 1) > SCALING_MAX_K_CAP:
             raise ValueError(f"k_cap={self.k_cap} is above the supported maximum 2**22")
-        if self.out is not None and not isinstance(self.out, str):
-            raise ValueError(f"out must be a path string or null, got {self.out!r}")
         # Keep copies, so a list the caller changes later cannot skip the checks.
         grids = self.t_values
         if isinstance(grids, dict):
@@ -466,9 +456,9 @@ def sweep_error_vs_K(cfg: RunConfig) -> SweepResult:
     """Evaluate one scheme over the config's K list and fit the decay slope.
 
     Commuting instances (every error below the floor) are flagged and left
-    unfitted. A fit whose largest-K residual exceeds the bend tolerance is
-    retried without the two smallest K points (preasymptotic bend); the
-    result records how many points were dropped.
+    unfitted. A fit of five or more points whose largest-K log residual
+    exceeds ``_BEND_RESIDUAL_TOL`` is retried without the two smallest K
+    points (preasymptotic bend); the result records how many were dropped.
     """
     ts, points = k_list_errors(cfg)
 
@@ -488,10 +478,10 @@ def sweep_error_vs_K(cfg: RunConfig) -> SweepResult:
     dropped = 0
     if not commuting and len(points) >= 3:
         slope, intercept, r2 = fit_loglog([(k, e) for k, _, e in points])
-        if cfg.drop_bend_points and len(points) >= 5:
+        if _DROP_BEND_POINTS and len(points) >= 5:
             k_last, e_last = points[-1][0], points[-1][2]
             resid_last = abs(np.log(e_last) - (slope * np.log(k_last) + intercept))
-            if resid_last > cfg.bend_residual_tol:
+            if resid_last > _BEND_RESIDUAL_TOL:
                 slope, intercept, r2 = fit_loglog([(k, e) for k, _, e in points[2:]])
                 dropped = 2
     return SweepResult(

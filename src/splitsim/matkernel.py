@@ -140,9 +140,10 @@ def _expm_hermitians(stack: np.ndarray, taus) -> np.ndarray:
 def expm_hermitian(a, tau: float) -> np.ndarray:
     """``exp(-1j * a * tau)`` for Hermitian ``a``, via eigendecomposition.
 
-    The spectral route is exact up to eigensolver accuracy. Term exponentials
-    come from :meth:`splitsim.hamiltonians.TermSet.exp`, which reuses spectra
-    taken once; this entry point validates and decomposes on every call.
+    The spectral route is exact up to eigensolver accuracy. Word unitaries
+    build their term exponentials from the spectra a
+    :class:`splitsim.hamiltonians.TermSet` takes once; this entry point
+    validates and decomposes on every call.
     """
     m = as_complex_matrix(a)
     _require_square(m, "exponential generator")

@@ -11,8 +11,9 @@ schedule's interleaving profile.
 The degree-3 truncation is hard-coded; the entire analysis lives at third
 order. :func:`word_series` evaluates a word's coefficients exactly, in
 integers over the word's common binary denominator, and rounds each once;
-:func:`series_mul` folded over :func:`exp_step_series` is the plain
-floating-point product it replaces, kept as a reference.
+:func:`series_mul`, the plain floating-point product it replaced, stays
+only as a target of the benchmark's span tracer (``perfbench/spans.py``);
+the tests fold it over their own step series as an accuracy reference.
 """
 
 from __future__ import annotations
@@ -28,14 +29,10 @@ from .schedules import Word
 
 __all__ = [
     "TruncatedSeries",
-    "exact_series",
-    "exp_step_series",
     "interleaving_profile",
-    "mixture_mean_series",
     "s_value",
     "series_mul",
     "series_to_json",
-    "series_to_matrix",
     "third_order_pair_sum",
     "word_series",
 ]
@@ -66,27 +63,6 @@ class TruncatedSeries:
 
     def coeff(self, word: Sequence[int]) -> complex:
         return self.coeffs.get(tuple(word), 0j)
-
-
-def exp_step_series(k: int, tau: float, m: int) -> TruncatedSeries:
-    """Expansion of exp(-i H_k tau) through degree 3.
-
-    Coefficients: 1 on the identity, -i*tau on (k), -tau^2/2 on (k, k) and
-    +i*tau^3/6 on (k, k, k).
-    """
-    if not 1 <= k <= m:
-        raise ValueError(f"symbol {k} outside 1..{m}")
-    return TruncatedSeries(
-        m=m, coeffs=dict(zip(((), (k,), (k, k), (k, k, k)), _step_coeffs(float(tau))))
-    )
-
-
-def _step_coeffs(tau: float) -> tuple[complex, complex, complex, complex]:
-    """Coefficients of 1, k, kk and kkk in exp(-i H_k tau)."""
-    try:
-        return 1.0 + 0j, complex(-1j * tau), complex(-0.5 * tau**2), complex(1j * tau**3 / 6.0)
-    except OverflowError:
-        raise OverflowError(f"step duration {tau!r} overflows its degree-3 coefficient") from None
 
 
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -137,8 +113,11 @@ def word_series(w: Word, m: int) -> TruncatedSeries:
         raise ValueError(f"word uses {u} distinct terms, above the maximum {SUPPORTED_MAX_TERMS}")
     index = {k: i for i, k in enumerate(alphabet)}
     ratios = {tau: tau.as_integer_ratio() for _, tau in w.steps}
-    for tau in ratios:
-        _step_coeffs(tau)  # names the first duration whose cube overflows
+    for tau in ratios:  # names the first duration whose cube overflows
+        try:
+            tau**3
+        except OverflowError:
+            raise OverflowError(f"step duration {tau!r} overflows its degree-3 coefficient") from None
     den = max((d for _, d in ratios.values()), default=1)
     scaled = {tau: num * (den // d) for tau, (num, d) in ratios.items()}
     r1, r2, r3 = [0] * u, [0] * u**2, [0] * u**3
@@ -168,54 +147,6 @@ def word_series(w: Word, m: int) -> TruncatedSeries:
                 except OverflowError:
                     raise OverflowError(f"coefficient of word {word} overflows a float") from None
     return TruncatedSeries(m=m, coeffs=coeffs)
-
-
-def exact_series(m: int, t: float) -> TruncatedSeries:
-    """Expansion of exp(-i (H_1 + ... + H_m) t) through degree 3.
-
-    Every ordered pair gets -t^2/2 and every ordered triple gets +i t^3/6,
-    since (-i)^3 / 3! = i/6.
-    """
-    t = float(t)
-    coeffs: dict[tuple[int, ...], complex] = {(): 1.0 + 0j}
-    symbols = range(1, m + 1)
-    for j in symbols:
-        coeffs[(j,)] = -1j * t
-    for j in symbols:
-        for k in symbols:
-            coeffs[(j, k)] = -0.5 * t**2
-    for j in symbols:
-        for k in symbols:
-            for l in symbols:
-                coeffs[(j, k, l)] = 1j * t**3 / 6.0
-    return TruncatedSeries(m=m, coeffs=coeffs)
-
-
-def mixture_mean_series(mix, m: int) -> TruncatedSeries:
-    """Probability-weighted coefficientwise mean of the entry word series."""
-    out: dict[tuple[int, ...], complex] = {}
-    for p, w in mix.entries:
-        s = word_series(w, m)
-        for word, c in s.coeffs.items():
-            out[word] = out.get(word, 0j) + p * c
-    return TruncatedSeries(m=m, coeffs=out)
-
-
-def series_to_matrix(s: TruncatedSeries, terms: Sequence[np.ndarray]) -> np.ndarray:
-    """Evaluate the series on concrete matrices for the symbols."""
-    if len(terms) < s.m:
-        raise ValueError(f"need {s.m} matrices, got {len(terms)}")
-    mats = [np.asarray(t, dtype=complex) for t in terms]
-    d = mats[0].shape[0]
-    out = np.zeros((d, d), dtype=complex)
-    for word, c in s.coeffs.items():
-        if c == 0:
-            continue
-        prod = np.eye(d, dtype=complex)
-        for k in word:
-            prod = prod @ mats[k - 1]
-        out += c * prod
-    return out
 
 
 def third_order_pair_sum(s: TruncatedSeries, a: int, b: int) -> float:

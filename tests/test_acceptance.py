@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 
-from splitsim.bounds import lemma2_max, lemma2_uniform_value
+from splitsim.bounds import lemma2_max
 from splitsim.channels import apply_channel, channel_power, mixture_superoperator
 from splitsim.harness import (
     RunConfig,
@@ -29,7 +29,6 @@ from splitsim.matkernel import (
 )
 from splitsim.schedules import Word, alg2_stage_mixture
 from splitsim.series import (
-    exact_series,
     interleaving_profile,
     s_value,
     third_order_pair_sum,
@@ -37,6 +36,7 @@ from splitsim.series import (
 )
 
 from conftest import random_density_mat, random_hermitian, random_unit_vector
+from oracles import exact_series, lemma2_uniform_value
 
 THIRD = 1.0 / 3.0
 

@@ -72,10 +72,10 @@ class TestRunConfig:
             ("n_qubits", 10**6, "supported maximum"),
             ("seed", 1.5, "integer"),
             ("t", 0.0, "positive"),
-            ("drop_bend_points", "no", "drop_bend_points"),
-            ("bend_residual_tol", "x", "finite"),
-            ("bend_residual_tol", -1.0, ">= 0"),
-            ("out", 5, "path string"),
+            # Not fields: --out is the only output path and the bend drop is fixed.
+            ("out", "report.json", "unknown config keys.*'out'"),
+            ("drop_bend_points", False, "unknown config keys.*'drop_bend_points'"),
+            ("bend_residual_tol", 0.0, "unknown config keys.*'bend_residual_tol'"),
             ("panel_size", 1025, "supported maximum"),
         ],
     )
@@ -257,16 +257,17 @@ class TestSweep:
         assert errors["strang"] < errors["trotter"]
         assert errors["alg2"] < errors["alg1"]
 
-    def test_bend_drop_is_config_visible(self, chain_cfg):
+    def test_bend_drop_is_recorded(self, chain_cfg, monkeypatch):
         from dataclasses import replace
 
         # forcing the residual tolerance to zero makes any 5+ point sweep
-        # count as bent, so the two smallest K are dropped and recorded
-        cfg = replace(chain_cfg, k_list=(8, 16, 32, 64, 128), bend_residual_tol=0.0)
-        res = sweep_error_vs_K(cfg)
-        assert res.dropped_smallest == 2
-        cfg_off = replace(cfg, drop_bend_points=False)
-        assert sweep_error_vs_K(cfg_off).dropped_smallest == 0
+        # count as bent, so the two smallest K are dropped and recorded;
+        # with the drop switched off none are
+        cfg = replace(chain_cfg, k_list=(8, 16, 32, 64, 128))
+        monkeypatch.setattr(splitsim.harness, "_BEND_RESIDUAL_TOL", 0.0)
+        assert sweep_error_vs_K(cfg).dropped_smallest == 2
+        monkeypatch.setattr(splitsim.harness, "_DROP_BEND_POINTS", False)
+        assert sweep_error_vs_K(cfg).dropped_smallest == 0
 
 
 _HALVING_DTS = (0.1, 0.05, 0.025)

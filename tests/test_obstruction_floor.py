@@ -17,7 +17,9 @@ import pytest
 from splitsim.bounds import lemma2_max
 from splitsim.hamiltonians import PAULI_X, PAULI_Z, TermSet
 from splitsim.schedules import alg2_stage_mixture, mixture_power, strang_word
-from splitsim.series import mixture_mean_series, third_order_pair_sum, word_series
+from splitsim.series import third_order_pair_sum, word_series
+
+from oracles import mixture_mean_series
 
 TWO_TERMS = TermSet((PAULI_X, PAULI_Z))
 

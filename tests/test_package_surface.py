@@ -34,7 +34,8 @@ DELETED = (
     "min_exponentials", "fit_cost_constant", "cubic_sum", "equal_split_floor", "hermitian_eig",
     "maximally_mixed", "sample_schedule", "mixture_from_json", "termset_from_json",
     "Superoperator", "vec", "unvec", "stage_order_ratios", "identity_series", "concat_words",
-    "InterleavingProfile",
+    "InterleavingProfile", "exp_step_series", "exact_series", "mixture_mean_series",
+    "series_to_matrix", "lemma2_uniform_value",
 )
 
 
@@ -69,6 +70,7 @@ def test_lemma1_report_takes_one_mixture_and_no_stage_count():
 def test_term_set_is_built_from_its_terms_alone():
     assert [f.name for f in dataclasses.fields(TermSet) if f.init] == ["terms"]
     assert isinstance(inspect.getattr_static(TermSet, "dim"), property)
+    assert not hasattr(TermSet, "exp")  # a test-side oracle, tests/oracles.py
 
 
 def test_tracer_targets_resolve():
@@ -89,7 +91,7 @@ def test_tracer_targets_resolve():
 RECORD_KEYS = {
     "RunConfig": {
         "scheme", "t", "k_list", "seed", "n_qubits", "jx", "jz", "hx", "d", "m",
-        "norm_bound", "panel_size", "drop_bend_points", "bend_residual_tol", "out",
+        "norm_bound", "panel_size",
     },
     "SweepResult": {
         "scheme", "t", "points", "slope", "intercept", "r2", "commuting",

@@ -21,17 +21,15 @@ from splitsim.schedules import (
 )
 from splitsim.series import (
     TruncatedSeries,
-    exact_series,
-    exp_step_series,
     interleaving_profile,
-    mixture_mean_series,
     s_value,
     series_mul,
     series_to_json,
-    series_to_matrix,
     third_order_pair_sum,
     word_series,
 )
+
+from oracles import exact_series, exp_step_series, mixture_mean_series, series_to_matrix
 
 
 def random_normalized_word(rng, m, max_len=12):

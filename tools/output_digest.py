@@ -4,15 +4,17 @@
 Runs every call of the four ``perfbench/workloads.py`` workloads at full size
 for each of the seeds 1-3, then the calls of ``EXTRA_CALLS``: three scaling
 configs that the benchmark's default grids leave out and two Lemma-1
-campaigns. All run in process, with one BLAS thread. It prints one
-line per call: its name, its subcommand and the SHA-256 of its exit code,
-stdout, stderr and the bytes of each file it writes. The work directory's
-path is replaced by a placeholder before hashing, so two runs agree exactly
-when their outputs do.
+campaigns. All run in process, with one BLAS thread unless the caller sets
+``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS``. It
+prints one line per call: its name, its subcommand and the SHA-256 of its
+exit code, stdout, stderr and the bytes of each file it writes. The work
+directory's path is replaced by a placeholder before hashing, so two runs
+agree exactly when their outputs do.
 
     python3 tools/output_digest.py --src src > head.txt
     python3 tools/output_digest.py --src ../base/src > base.txt
     diff base.txt head.txt
+    OPENBLAS_NUM_THREADS=2 python3 tools/output_digest.py --src src | diff head.txt -
 
 The inputs always come from this tree's ``perfbench/``, which is read only;
 ``--src`` picks the ``splitsim`` package under test.
@@ -90,9 +92,10 @@ def main(argv=None) -> int:
     ap.add_argument("--src", default=str(ROOT / "src"), help="directory holding splitsim/")
     args = ap.parse_args(argv)
 
-    # Before numpy is first imported, so the BLAS library starts with one thread.
+    # Before numpy is first imported, so the BLAS library starts with one
+    # thread unless the caller asked for another count.
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = "1"
+        os.environ.setdefault(var, "1")
     sys.dont_write_bytecode = True  # leave perfbench/ and --src as they are
     src = Path(args.src).resolve()
     sys.path[:0] = [str(src), str(ROOT / "perfbench")]
