@@ -21,10 +21,12 @@ stacked mixture to a stack of density matrices along one of two exact paths:
 
 * **real Liouville powering**: the stage is written in an orthonormal basis
   of Hermitian operators, where its d**2 x d**2 matrix is real. It is built
-  from one product over the stacked word unitaries plus an index map, raised
-  to the K-th power by binary squaring in float64 (alternating between two
+  from row blocks of one product over the stacked word unitaries plus an
+  index map, one block at a time straight into the output, raised to the
+  K-th power by binary squaring in float64 (alternating between two
   buffers), and each set bit of K is applied to the panel's coordinate
-  columns rather than folded into a full product;
+  columns rather than folded into a full product. The path's memory floor
+  is those two buffers: it peaks at about two d**2 x d**2 float64 matrices;
 * **fused direct propagation**: the panel ``R = [rho_1|...|rho_n]`` (d x nd)
   goes through K stages of ``rho' = sum_w p_w U_w (U_w rho)^dagger`` (valid
   for Hermitian rho), two large products and one block conjugate-transpose
@@ -197,38 +199,78 @@ def _basis_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
     return first, second
 
 
+# The Liouville build takes G in row blocks of at most this many complex
+# entries (128 KB; a block's temporaries are a few times that): d <= 9 is one
+# block, and from d = 16 on the temporaries stay below the d**2 x d**2 output.
+_LIOUVILLE_BLOCK_ENTRIES = 2**13
+
+
+@lru_cache(maxsize=None)
+def _liouville_blocks(d: int) -> tuple:
+    """Read-only index maps of :func:`_liouville_matrix`: ``(columns, blocks)``.
+
+    ``columns`` (d**2, 1) holds each input's offset c*d**2 + e in a block of
+    G: E_cc, then E_ce and E_ec over the upper pairs c < e. A block covers the
+    first indices a0 <= a < a1 and is ``(a0, a1, s0, s1, rows)``. Its output
+    rows are the diagonal rows a0:a1, then the upper rows d+s0:d+s1 and their
+    imaginary twins, and ``rows`` (1, n_rows) holds each row's offset
+    (a - a0)*d**3 + b*d for its basis pair (a, b).
+    """
+    first, second = _basis_pairs(d)
+    iu, ju = first[d:], second[d:]
+    columns = np.concatenate([first[:d] * (d * d + 1), iu * d * d + ju, ju * d * d + iu])
+    step = max(1, _LIOUVILLE_BLOCK_ENTRIES // d**3)
+    blocks = []
+    for a0 in range(0, d, step):
+        a1 = min(a0 + step, d)
+        s0, s1 = (a * (2 * d - a - 1) // 2 for a in (a0, a1))  # upper pairs before a
+        pairs = np.r_[a0:a1, d + s0 : d + s1]
+        rows = (first[pairs] - a0) * d**3 + second[pairs] * d
+        rows.setflags(write=False)
+        blocks.append((a0, a1, s0, s1, rows[None]))
+    columns.setflags(write=False)
+    return columns[:, None], tuple(blocks)
+
+
 def _liouville_matrix(probs: np.ndarray, us: np.ndarray) -> np.ndarray:
     """Real matrix of the stage in the Hermitian basis of :func:`_to_coords`.
 
     Entry (k, l) is Tr(B_k Phi(B_l)). With G = X^T conj(X) for the rows X_w,
     sqrt(p_w) U_w flattened row by row, Phi(B)[a, b] = sum_{c,e} G[ac, be]
     B[c, e], so only an index map over the diagonal and upper pairs remains.
-    Each of the three column blocks (images of the diagonal, symmetric and
-    antisymmetric basis elements) is written straight into the real output,
-    its diagonal rows, then sqrt2 times its real and imaginary upper rows.
+
+    G is built one block of first indices a at a time, as row blocks of one
+    product (bit for bit its rows), so the build holds only the output and
+    one block's temporaries. A block's output rows are contiguous: its
+    diagonal rows, then a run of upper rows and its imaginary twin. One
+    gather per block takes Phi(E_cc), Phi(E_ce) and Phi(E_ec) at those rows'
+    pairs, one input per row; the symmetric and antisymmetric images are
+    formed in place on those contiguous rows (numpy buffers strided
+    operands), and each row run is copied straight into the output.
     """
     n_words, d, _ = us.shape
     x = np.sqrt(probs)[:, None] * us.reshape(n_words, d * d)
-    g = (x.T @ x.conj()).reshape(d, d, d, d)  # g[a, c, b, e]
-    first, second = _basis_pairs(d)
-    a, b = first[:, None], second[:, None]  # output entry (a, b)
-    c, e = first[None, d:], second[None, d:]  # input matrix unit E_ce, c < e
-    fu, fs = g[a, c, b, e], g[a, e, b, c]  # Phi(E_ce), Phi(E_ec) at (a, b)
-    sym = np.add(fu, fs)
-    sym /= _SQRT2
-    anti = np.subtract(fu, fs, out=fu)
-    np.multiply(1j, anti, out=anti)
-    anti /= _SQRT2
-    n_upper = len(first) - d
+    xt, xc = x.T, x.conj()
+    n_upper = d * (d - 1) // 2
+    columns, blocks = _liouville_blocks(d)
     out = np.empty((d * d, d * d))
-    for cols, image in (
-        (slice(0, d), g[a, first[:d], b, first[:d]]),  # Phi(E_cc)
-        (slice(d, d + n_upper), sym),
-        (slice(d + n_upper, None), anti),
-    ):  # image[(a, b), l] = Phi(B_l)[a, b]
-        out[:d, cols] = image[:d].real
-        np.multiply(_SQRT2, image[d:].real, out=out[d : d + n_upper, cols])
-        np.multiply(_SQRT2, image[d:].imag, out=out[d + n_upper :, cols])
+    for a0, a1, s0, s1, rows in blocks:
+        # the block's rows of G, g[(a - a0)*d + c, b*d + e], gathered to
+        # image[l, row] = Phi(B_l) at the row's pair
+        image = (xt[a0 * d : a1 * d] @ xc).reshape(-1)[columns + rows]
+        fu, fs = image[d : d + n_upper], image[d + n_upper :]
+        anti = np.subtract(fu, fs)
+        np.add(fu, fs, out=fu)
+        np.multiply(1j, anti, out=fs)
+        image[d:] /= _SQRT2
+        n_diag = a1 - a0
+        re, im = out[d + s0 : d + s1], out[d + n_upper + s0 : d + n_upper + s1]
+        out[a0:a1] = image[:, :n_diag].real.T
+        re[...] = image[:, n_diag:].real.T
+        im[...] = image[:, n_diag:].imag.T
+        re *= _SQRT2
+        im *= _SQRT2
+        del image, anti  # freed before the next block's product
     return out
 
 
@@ -263,10 +305,11 @@ def _from_coords(coords: np.ndarray, d: int) -> np.ndarray:
 
 def _evolve_liouville(probs: np.ndarray, us: np.ndarray, stages: int, rhos: np.ndarray) -> np.ndarray:
     """K stages by binary powering of the real Liouville matrix; the
-    squarings alternate between two buffers."""
+    squarings alternate between two buffers, freed before the coordinates
+    go back to matrices."""
+    coords = _to_coords(rhos)
     power = _liouville_matrix(probs, us)
     spare = np.empty_like(power)
-    coords = _to_coords(rhos)
     k = stages
     while True:
         if k & 1:
@@ -275,6 +318,7 @@ def _evolve_liouville(probs: np.ndarray, us: np.ndarray, stages: int, rhos: np.n
         if not k:
             break
         power, spare = np.matmul(power, power, out=spare), power
+    del power, spare
     return _from_coords(coords, us.shape[1])
 
 

@@ -38,6 +38,7 @@ import os
 import pickle
 import signal
 from dataclasses import asdict, dataclass, field
+from types import SimpleNamespace
 from typing import NamedTuple, NoReturn
 
 import numpy as np
@@ -117,9 +118,8 @@ _AIM = 1.5
 _WARM_UP_PROBES = 6
 # A sweep fit of five or more points whose largest-K log residual exceeds the
 # tolerance is refitted without the two smallest K, where the preasymptotic
-# bend sits. Constants, not config fields: every run fits this way, and no
+# bend sits. A constant, not a config field: every run fits this way, and no
 # workload, tool or example sets another value.
-_DROP_BEND_POINTS = True
 _BEND_RESIDUAL_TOL = 0.25
 # Fewest Lemma-1 campaign instances per shard: a campaign shorter than two
 # shards' worth runs in process, where forking a worker costs more than it saves.
@@ -478,7 +478,7 @@ def sweep_error_vs_K(cfg: RunConfig) -> SweepResult:
     dropped = 0
     if not commuting and len(points) >= 3:
         slope, intercept, r2 = fit_loglog([(k, e) for k, _, e in points])
-        if _DROP_BEND_POINTS and len(points) >= 5:
+        if len(points) >= 5:
             k_last, e_last = points[-1][0], points[-1][2]
             resid_last = abs(np.log(e_last) - (slope * np.log(k_last) + intercept))
             if resid_last > _BEND_RESIDUAL_TOL:
@@ -609,7 +609,7 @@ def _evaluate_dimension(d: int, insts: list[_Instance]) -> tuple:
         totals[rows] = _totals(terms)
         w, v = _term_spectra(terms)
         # The stage builders read only the term count, the same for every row.
-        count_ts = TermSet(tuple(terms[0]))
+        count = SimpleNamespace(m=terms.shape[1])
         schemes: dict[str, list[int]] = {}
         for i, row in enumerate(rows):
             schemes.setdefault(insts[row].scheme, []).append(i)
@@ -617,9 +617,9 @@ def _evaluate_dimension(d: int, insts: list[_Instance]) -> tuple:
             build = _STAGE_MIXTURES["trotter" if m is None else scheme]
             probs, taus = [], []
             for i in idx:
-                mix = build(count_ts, insts[rows[i]].dt)
+                mix = build(count, insts[rows[i]].dt)
                 kept[rows[i]] = terms[i], mix
-                words, slots = _word_plan([word for _, word in mix.entries], count_ts.m)
+                words, slots = _word_plan([word for _, word in mix.entries], count.m)
                 probs.append([p for p, _ in mix.entries])
                 taus.append([tau for _, tau in slots])
             us = _word_unitaries(w[idx], v[idx], words, slots, taus)

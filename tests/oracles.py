@@ -2,8 +2,9 @@
 
 Each is a plain, direct form of a value the package computes another way:
 step and exact-evolution series, a mixture's mean series, a series evaluated
-on matrices, the closed form of S at the uniform point and a term
-exponential from a term set's stored spectrum. Tests import them as
+on matrices, the closed form of S at the uniform point, a term
+exponential from a term set's stored spectrum and the unblocked real
+Liouville matrix of a stage. Tests import them as
 ``from oracles import ...``.
 """
 
@@ -13,6 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
+from splitsim.channels import _SQRT2, _basis_pairs
 from splitsim.hamiltonians import TermSet
 from splitsim.matkernel import _spectral_exp
 from splitsim.series import TruncatedSeries, word_series
@@ -91,3 +93,32 @@ def lemma2_uniform_value(n: int) -> float:
 def term_exp(ts: TermSet, index: int, tau: float) -> np.ndarray:
     """``exp(-i H_index tau)`` (1-based index) from the term set's stored spectrum."""
     return _spectral_exp(*ts.spectra[index - 1], tau)
+
+
+def liouville_matrix_reference(probs: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """The real Liouville matrix of a stacked stage from the whole d**4 Gram
+    tensor at once: one product, full-width gathers and one write per column
+    block. The blocked build in ``splitsim.channels`` must give its bits."""
+    n_words, d, _ = us.shape
+    x = np.sqrt(probs)[:, None] * us.reshape(n_words, d * d)
+    g = (x.T @ x.conj()).reshape(d, d, d, d)  # g[a, c, b, e]
+    first, second = _basis_pairs(d)
+    a, b = first[:, None], second[:, None]  # output entry (a, b)
+    c, e = first[None, d:], second[None, d:]  # input matrix unit E_ce, c < e
+    fu, fs = g[a, c, b, e], g[a, e, b, c]  # Phi(E_ce), Phi(E_ec) at (a, b)
+    sym = np.add(fu, fs)
+    sym /= _SQRT2
+    anti = np.subtract(fu, fs, out=fu)
+    np.multiply(1j, anti, out=anti)
+    anti /= _SQRT2
+    n_upper = len(first) - d
+    out = np.empty((d * d, d * d))
+    for cols, image in (
+        (slice(0, d), g[a, first[:d], b, first[:d]]),  # Phi(E_cc)
+        (slice(d, d + n_upper), sym),
+        (slice(d + n_upper, None), anti),
+    ):  # image[(a, b), l] = Phi(B_l)[a, b]
+        out[:d, cols] = image[:d].real
+        np.multiply(_SQRT2, image[d:].real, out=out[d : d + n_upper, cols])
+        np.multiply(_SQRT2, image[d:].imag, out=out[d + n_upper :, cols])
+    return out

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,8 @@ from splitsim.channels import (
     _evolve_direct,
     _evolve_liouville,
     _lemma1_reports,
+    _liouville_blocks,
+    _liouville_matrix,
     _propagation_path,
     apply_channel,
     channel_power,
@@ -37,6 +41,7 @@ from splitsim.schedules import (
 )
 
 from conftest import random_density_mat, random_unit_vector
+from oracles import liouville_matrix_reference
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -350,6 +355,53 @@ class TestEvolveStates:
         assert np.array_equal(second, np.concatenate([np.arange(d), ju]))
         assert not first.flags.writeable and not second.flags.writeable
         assert _basis_pairs(d)[0] is first
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 10, 16, 24, 32])
+    def test_blocked_liouville_build_equals_reference(self, d, rng):
+        """Bit for bit the unblocked build, for random unitaries and random
+        probabilities; d = 10 ends in a short block."""
+        for n_words in (1, 2, 3, 6, 24):
+            z = rng.standard_normal((n_words, d, d)) + 1j * rng.standard_normal((n_words, d, d))
+            us = np.linalg.qr(z)[0]
+            probs = rng.random(n_words)
+            probs /= probs.sum()
+            got = _liouville_matrix(probs, us)
+            assert np.array_equal(got, liouville_matrix_reference(probs, us)), n_words
+
+    @pytest.mark.parametrize("d", [2, 8, 9, 10, 16, 24])
+    def test_liouville_blocks_cover_each_output_row_once(self, d):
+        _, blocks = _liouville_blocks(d)
+        n_upper = d * (d - 1) // 2
+        rows = np.concatenate([
+            np.r_[a0:a1, d + s0 : d + s1, d + n_upper + s0 : d + n_upper + s1]
+            for a0, a1, s0, s1, _ in blocks
+        ])
+        assert np.array_equal(np.sort(rows), np.arange(d * d))
+        sizes = [a1 - a0 for a0, a1, *_ in blocks]
+        assert set(sizes[:-1]) <= {sizes[0]} and sizes[-1] <= sizes[0]
+        if d <= 8:
+            assert len(blocks) == 1
+        if d in (10, 16, 24):
+            assert len(blocks) > 1
+        if d == 10:
+            assert sizes[-1] < sizes[0]
+
+    @pytest.mark.parametrize("d", [16, 24])
+    def test_liouville_path_peak_is_about_two_matrices(self, d, rng):
+        """Past its build, powering holds the matrix and one spare: the traced
+        peak stays within 2.25 d**2 x d**2 float64 matrices."""
+        ts = random_termset(d, 3, 1.0, seed=7)
+        probs, us = word_stack(ts, alg2_stage_mixture(ts, 1.0 / 256))
+        rhos = np.stack([pure_density(random_unit_vector(rng, d)).mat for _ in range(16)])
+        assert _propagation_path(d, len(probs), len(rhos), 256) == "liouville"
+        evolve_states(probs, us, 256, rhos)  # fill the index caches first
+        tracemalloc.start()
+        try:
+            evolve_states(probs, us, 256, rhos)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * d**4 * 8, peak / (d**4 * 8)
 
     def test_path_choice_is_a_flop_count(self):
         # a pure function of (d, words, states, stages): same answer every call

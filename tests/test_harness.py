@@ -262,11 +262,11 @@ class TestSweep:
 
         # forcing the residual tolerance to zero makes any 5+ point sweep
         # count as bent, so the two smallest K are dropped and recorded;
-        # with the drop switched off none are
+        # with no residual above an infinite tolerance none are
         cfg = replace(chain_cfg, k_list=(8, 16, 32, 64, 128))
         monkeypatch.setattr(splitsim.harness, "_BEND_RESIDUAL_TOL", 0.0)
         assert sweep_error_vs_K(cfg).dropped_smallest == 2
-        monkeypatch.setattr(splitsim.harness, "_DROP_BEND_POINTS", False)
+        monkeypatch.setattr(splitsim.harness, "_BEND_RESIDUAL_TOL", math.inf)
         assert sweep_error_vs_K(cfg).dropped_smallest == 0
 
 

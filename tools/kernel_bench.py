@@ -7,8 +7,10 @@ Times, as the median of repeated calls in this process:
   m = 6 (720 words) over K = 8 stages on a 16-state panel, which takes the
   direct path, with the ``tracemalloc`` peak of one more call;
 * ``evolve_states`` at d = 24, an alg2 stage at m = 3 over K = 256 stages,
-  which takes the Liouville path;
-* ``_liouville_matrix`` of that d = 24 stage;
+  and at d = 32 over K = 512 stages, both on the Liouville path, each with
+  the ``tracemalloc`` peak of one more call;
+* ``_liouville_matrix`` of that d = 24 stage, with its peak, and of an alg2
+  stage at d = 8, m = 2, the build behind each ``scaling-bisect`` probe;
 * ``lemma2_max(9)``, the whole Lemma-2 search at n = 9, with its
   ``tracemalloc`` peak, and ``lemma2_max(64)`` at the largest supported n;
 * one ``_sweep`` of pair moves from the uniform point at n = 16 and 32, the
@@ -124,10 +126,16 @@ def main() -> int:
         argv = ["verify-lemma2", "--n", "3", "--out", os.path.join(tmp, "lemma2.json")]
         kernels["cli_verify_lemma2_n3"] = _timed(lambda: cli.main(argv), 25)
     kernels["campaign_shard_500"] = _timed(lambda: _shard_outcomes(SEED, 0, 500), 7, traced=True)
+    probs, us, _, _ = _evolve_case(8, 2, 2**16)
+    kernels["liouville_matrix_d8_m2"] = _timed(lambda: _liouville_matrix(probs, us), 101)
     probs, us, rhos, path = _evolve_case(24, 3, 256)
-    kernels["liouville_matrix_d24_m3"] = _timed(lambda: _liouville_matrix(probs, us), 7)
+    kernels["liouville_matrix_d24_m3"] = _timed(lambda: _liouville_matrix(probs, us), 7, traced=True)
     kernels["evolve_states_d24_m3_K256"] = {
-        "path": path, **_timed(lambda: evolve_states(probs, us, 256, rhos), 7),
+        "path": path, **_timed(lambda: evolve_states(probs, us, 256, rhos), 7, traced=True),
+    }
+    probs, us, rhos, path = _evolve_case(32, 3, 512)
+    kernels["evolve_states_d32_m3_K512"] = {
+        "path": path, **_timed(lambda: evolve_states(probs, us, 512, rhos), 3, traced=True),
     }
     probs, us, rhos, path = _evolve_case(64, 6, 8)
     kernels["evolve_states_d64_m6_K8"] = {
