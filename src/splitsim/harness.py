@@ -23,9 +23,10 @@ local power law is at most 3.6e-5, so this is the K a probe at every step
 finds. Each cell is then checked on probed values, error(K) <= eps <
 error(K - 1), and walked again with a probe at every step if the check fails.
 
-The Lemma-1 campaign (:func:`lemma1_campaign`) evaluates each shard in
-chunks of 500 instances, one stack per dimension, every report bit for bit
-the one its instance gives alone.
+The Lemma-1 campaign (:func:`lemma1_campaign`) has two layers: a shard
+draws its instances in chunks of 500 and groups each chunk by dimension, and
+each dimension is evaluated as one stack, with one stage build per (d, m,
+scheme). Every report is bit for bit the one its instance gives alone.
 """
 
 from __future__ import annotations
@@ -79,7 +80,6 @@ from .schedules import (
     mixture_to_json,
     strang_word,
     trotter_word,
-    word_unitary,
 )
 
 __all__ = [
@@ -137,9 +137,11 @@ _CHUNK_INSTANCES = 500
 # spacings (the leading error generator has no secular part), so the
 # first-order pair is probed at short times; the second-order pair needs
 # longer times for segment counts large enough that integer rounding does not
-# bias the fit.
+# bias the fit. The trotter grid stops at ||H|| * t of about 1 for the
+# 3-qubit chain: on 0.05..0.4 its panel fit fell to 1.76-1.79 on 8 of 400
+# benchmark panel seeds, on 0.025..0.2 all 400 give 1.88-2.07.
 DEFAULT_SCALING_T_GRID = {
-    "trotter": (0.05, 0.1, 0.2, 0.4),
+    "trotter": (0.025, 0.05, 0.1, 0.2),
     "strang": (2.0, 4.0, 8.0, 16.0),
     "alg1": (0.5, 1.0, 2.0, 4.0),
     "alg2": (1.0, 2.0, 4.0, 8.0),
@@ -390,17 +392,13 @@ class SchemeEvaluator:
         return self.ts.m * k if self.scheme == "alg1" else k
 
     def error(self, k: int) -> float:
-        dt = self.t / k
         targets = self._target_vecs
-        mix = _STAGE_MIXTURES[self.scheme](self.ts, dt)
+        probs, us = word_stack(self.ts, _STAGE_MIXTURES[self.scheme](self.ts, self.t / k))
         if self.scheme in ("trotter", "strang"):
-            seg = word_unitary(self.ts, mix.entries[0][1])
-            evolved = self.panel @ np.linalg.matrix_power(seg, k).T  # rows U v
+            evolved = self.panel @ np.linalg.matrix_power(us[0], k).T  # rows U v
             overlaps = np.einsum("ij,ij->i", targets.conj(), evolved)
             return float(2.0 * np.linalg.norm(evolved - overlaps[:, None] * targets, axis=1).max())
-        out = evolve_states(
-            *word_stack(self.ts, mix), self.stage_count(k), self._panel_projectors
-        )
+        out = evolve_states(probs, us, self.stage_count(k), self._panel_projectors)
         return max(trace_norms(out - self._target_projectors))
 
 
@@ -588,18 +586,20 @@ def _campaign_states(d: int, insts: list[_Instance]) -> tuple[np.ndarray, np.nda
 
 def _evaluate_dimension(d: int, insts: list[_Instance]) -> tuple:
     """Tally (see :func:`_merge_tallies`) of instances of one dimension,
-    commuting controls included, its violation records in no set order.
+    commuting controls included.
 
     Term sets and spectra are built once per term count (``m`` None for the
-    controls), word stacks once per (m, scheme), as their shapes differ.
-    Exact evolutions, input states and bound reports are one stack each;
-    only a violation record rebuilds its instance's term set.
+    controls). Each (m, scheme) group builds its stage mixture and word plan
+    once, at dt = 1: every slot duration is dt or dt/2, so a row's durations
+    are the plan's times its dt, exactly. Exact evolutions, input states and
+    bound reports are one stack each; a violation record rebuilds its
+    instance's term set and stage mixture.
     """
     groups: dict = {}
     for row, inst in enumerate(insts):
         groups.setdefault(inst.m, []).append(row)
     totals = np.empty((len(insts), d, d), dtype=complex)
-    kept, parts = [None] * len(insts), []  # per row: its terms and stage mixture
+    kept, parts = [None] * len(insts), []  # per row: its terms
     for m, rows in groups.items():
         if m is None:
             terms = np.zeros((len(rows), 2, d, d), dtype=complex)
@@ -612,29 +612,29 @@ def _evaluate_dimension(d: int, insts: list[_Instance]) -> tuple:
         count = SimpleNamespace(m=terms.shape[1])
         schemes: dict[str, list[int]] = {}
         for i, row in enumerate(rows):
+            kept[row] = terms[i]
             schemes.setdefault(insts[row].scheme, []).append(i)
         for scheme, idx in schemes.items():
-            build = _STAGE_MIXTURES["trotter" if m is None else scheme]
-            probs, taus = [], []
-            for i in idx:
-                mix = build(count, insts[rows[i]].dt)
-                kept[rows[i]] = terms[i], mix
-                words, slots = _word_plan([word for _, word in mix.entries], count.m)
-                probs.append([p for p, _ in mix.entries])
-                taus.append([tau for _, tau in slots])
+            mix = _STAGE_MIXTURES["trotter" if m is None else scheme](count, 1.0)
+            words, slots = _word_plan([word for _, word in mix.entries], count.m)
+            dts = np.array([insts[rows[i]].dt for i in idx])
+            taus = dts[:, None] * np.array([tau for _, tau in slots])
+            probs = np.tile([p for p, _ in mix.entries], (len(idx), 1))
             us = _word_unitaries(w[idx], v[idx], words, slots, taus)
-            parts.append(([rows[i] for i in idx], np.array(probs), us))
+            parts.append(([rows[i] for i in idx], probs, us))
     u0 = _expm_hermitians(totals, [inst.dt for inst in insts])
     reports = _lemma1_reports(u0, *_campaign_states(d, insts), parts)
     violations, best = [], [0.0, 0.0, 0.0]
-    for inst, (terms, mix), rep in zip(insts, kept, reports):
+    for inst, terms, rep in zip(insts, kept, reports):
         if rep.observed_raw > rep.bound + DOMINANCE_SLACK:
+            ts = TermSet(tuple(terms))
+            mix = _STAGE_MIXTURES["trotter" if inst.m is None else inst.scheme](ts, inst.dt)
             violations.append({
                 "index": inst.index,
                 "scheme": inst.scheme,
                 "dt": inst.dt,
                 "report": rep.to_json(),
-                "termset": termset_to_json(TermSet(tuple(terms))),
+                "termset": termset_to_json(ts),
                 "mixture": mixture_to_json(mix),
             })
         if inst.m is not None:
@@ -644,26 +644,13 @@ def _evaluate_dimension(d: int, insts: list[_Instance]) -> tuple:
     return violations, len(groups.get(None, ())), *best
 
 
-def _evaluate_chunk(chunk: list[_Instance]) -> tuple:
-    """Tally of consecutive instances, evaluated one dimension at a time.
-    Ratios are finite and non-negative, so their maxima do not depend on the
-    merge order; violations are put back in index order."""
-    dims: dict[int, list[_Instance]] = {}
-    for inst in chunk:
-        dims.setdefault(inst.d, []).append(inst)
-    violations, n_controls, *best = _merge_tallies(
-        _evaluate_dimension(d, insts) for d, insts in dims.items()
-    )
-    violations.sort(key=operator.itemgetter("index"))
-    return violations, n_controls, *best
-
-
 def _merge_tallies(tallies) -> tuple:
-    """One tally of consecutive runs of instances, from theirs in order.
+    """One tally from several, violation records put in index order.
 
-    A tally is (violation records in index order, number of controls, best
-    observed over bound, over mean_dev and over sq_dev); a best ratio is 0.0
-    where no instance has one.
+    A tally is (violation records, number of controls, best observed over
+    bound, over mean_dev and over sq_dev); a best ratio is 0.0 where no
+    instance has one. Ratios are finite and non-negative, so their maxima do
+    not depend on the merge order.
     """
     violations: list[dict] = []
     n_controls = 0
@@ -672,6 +659,7 @@ def _merge_tallies(tallies) -> tuple:
         violations += tally_violations
         n_controls += tally_controls
         best = [max(a, b) for a, b in zip(best, tally_best)]
+    violations.sort(key=operator.itemgetter("index"))
     return violations, n_controls, *best
 
 
@@ -680,19 +668,20 @@ def _shard_outcomes(seed: int, start: int, stop: int) -> tuple:
 
     Draws instances 0..stop-1 from a fresh generator, as an unsharded
     campaign would, and evaluates only the last ones, a chunk of
-    ``_CHUNK_INSTANCES`` at a time; no more than one chunk of drawn
-    instances is kept.
+    ``_CHUNK_INSTANCES`` at a time, one dimension at a time; no more than
+    one chunk of drawn instances is kept.
     """
     rng = np.random.default_rng(seed)
     for index in range(start):
         _draw_instance(rng, index)
-    return _merge_tallies(
-        _evaluate_chunk([
-            _draw_instance(rng, index)
-            for index in range(lo, min(lo + _CHUNK_INSTANCES, stop))
-        ])
-        for lo in range(start, stop, _CHUNK_INSTANCES)
-    )
+    tallies = []
+    for lo in range(start, stop, _CHUNK_INSTANCES):
+        dims: dict[int, list[_Instance]] = {}
+        for index in range(lo, min(lo + _CHUNK_INSTANCES, stop)):
+            inst = _draw_instance(rng, index)
+            dims.setdefault(inst.d, []).append(inst)
+        tallies += [_evaluate_dimension(d, insts) for d, insts in dims.items()]
+    return _merge_tallies(tallies)
 
 
 def _shard_count(n_instances: int) -> int:
@@ -787,20 +776,22 @@ def lemma1_campaign(n_instances: int, seed: int) -> CampaignReport:
     (``os.sched_getaffinity``), each of at least ``_MIN_SHARD_INSTANCES``:
     the caller takes the first shard and forked children the rest. Each
     shard draws that one seeded stream up to its last instance and
-    evaluates its own instances in chunks of ``_CHUNK_INSTANCES``. A chunk
-    is split by dimension d, commuting controls included: term sets and
-    spectra are built once per (d, m), word stacks once per (d, m, scheme),
-    and exact evolutions, input states and bound reports once per d
-    (:func:`_evaluate_dimension`). Every check, decomposition, product and
-    norm runs on whole stacks, and each report is bit for bit the one
+    evaluates its own instances in chunks of ``_CHUNK_INSTANCES``, each
+    split by dimension d, commuting controls included. That is two layers:
+    :func:`_shard_outcomes` draws and groups, and :func:`_evaluate_dimension`
+    evaluates one d. Term sets and spectra are built once per (d, m), the
+    stage mixture and its word plan once per (d, m, scheme) at dt = 1 and
+    scaled to each instance's dt, and exact evolutions, input states and
+    bound reports once per d. Every check, decomposition, product and norm
+    runs on whole stacks, and each report is bit for bit the one
     :func:`splitsim.channels.lemma1_report` gives for that instance alone. A
-    violation record rebuilds its term set from the stack. A shard keeps at
-    most one chunk of drawn instances, so memory does not grow with
-    ``n_instances`` apart from violation records. Tallies are merged in
-    index order, so the report is the same for any core count; a campaign of
-    fewer than two shards' worth of instances runs in process. A shard
-    killed by a signal raises :class:`ChildProcessError`. There is no knob
-    for this.
+    violation record rebuilds its term set and stage mixture. A shard keeps
+    at most one chunk of drawn instances, so memory does not grow with
+    ``n_instances`` apart from violation records. :func:`_merge_tallies`
+    puts violations in index order, so the report is the same for any core
+    count; a campaign of fewer than two shards' worth of instances runs in
+    process. A shard killed by a signal raises :class:`ChildProcessError`.
+    There is no knob for this.
     """
     if n_instances < 1:
         raise ValueError(f"need at least one instance, got {n_instances}")
@@ -921,7 +912,8 @@ def _bisect_min_k(log: _ProbeLog, eps: float, k_cap: int) -> tuple[int, float] |
     with ``_CERTIFICATE_MARGIN`` = 1e-3. Within 0.05 % of each bisected K
     of the default grids (n_qubits = 3, panel seeds 2 and 3) the error
     departs from a local power law by at most 3.6e-5 relative (alg1; 8.9e-6
-    alg2, 5.2e-6 strang, 9.2e-7 trotter), 28 times inside the margin, so the
+    alg2, 5.2e-6 strang, 1.4e-6 trotter on its grid 0.025..0.2, fitted over
+    K +- max(2, 0.05 % of K)), 28 times inside the margin, so the
     walk takes the same path as with a probe at every step. A short warm-up
     (:func:`_warm_up`) places probes just outside the band; its power-law
     model only chooses where to probe. Every probe already in ``log``, from

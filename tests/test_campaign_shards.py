@@ -158,14 +158,14 @@ def test_killed_shard_is_an_error_not_a_wait(monkeypatch, capsys, tmp_path, alar
 def test_campaign_keeps_no_drawn_instance(monkeypatch, n_instances):
     live = []
 
-    def evaluate(chunk):
-        if chunk[-1].index == n_instances - 1:
+    def evaluate(d, insts):
+        if insts[-1].index == n_instances - 1:
             objects = gc.get_objects()
             live.append(sum(isinstance(o, splitsim.harness._Instance) for o in objects))
         return [], 0, 0.5, 1.0, 1.0
 
     monkeypatch.setattr(splitsim.harness, "_shard_count", lambda n: 1)
-    monkeypatch.setattr(splitsim.harness, "_evaluate_chunk", evaluate)
+    monkeypatch.setattr(splitsim.harness, "_evaluate_dimension", evaluate)
     assert lemma1_campaign(n_instances, 0).best_observed_over_bound == 0.5
     # The last chunk alone, as large at 5000 instances as at 2000.
     assert live == [splitsim.harness._CHUNK_INSTANCES]

@@ -16,10 +16,13 @@ from splitsim.harness import (
     sweep_error_vs_K,
 )
 import splitsim.harness
-from splitsim.channels import lemma1_report
+from splitsim.channels import lemma1_report, word_stack
 from splitsim.hamiltonians import random_termset, spin_chain_termset
 from splitsim.matkernel import pure_density
 from splitsim.schedules import (
+    _stacked_spectra,
+    _word_plan,
+    _word_unitaries,
     alg1_stage_mixture,
     alg2_stage_mixture,
     mixture_power,
@@ -338,6 +341,24 @@ class TestCampaign:
         with pytest.raises(ValueError, match="need at least one instance"):
             lemma1_campaign(n_instances, seed=0)
 
+    @pytest.mark.parametrize("m", range(2, 7))
+    @pytest.mark.parametrize("scheme", ["trotter", "strang", "alg1", "alg2"])
+    def test_unit_step_plan_scales_to_any_dt_exactly(self, scheme, m, rng):
+        # The campaign builds each (m, scheme) stage once, at dt = 1, and
+        # scales its slot durations by each instance's dt.
+        ts = random_termset(3, m, 1.0, seed=m)
+        build = splitsim.harness._STAGE_MIXTURES[scheme]
+        unit = build(ts, 1.0)
+        words, slots = _word_plan([word for _, word in unit.entries], m)
+        units = np.array([tau for _, tau in slots])
+        dts = np.concatenate([rng.uniform(0.01, 0.2, 3), 10.0 ** rng.uniform(-6, 3, 3)])
+        w, v = (np.repeat(a, len(dts), axis=0) for a in _stacked_spectra(ts))
+        us = _word_unitaries(w, v, words, slots, dts[:, None] * units)
+        for dt, got in zip(dts, us):
+            probs, want = word_stack(ts, build(ts, dt))
+            assert np.array_equal(got, want), dt
+            assert np.array_equal(probs, [p for p, _ in unit.entries])
+
 
 class TestScaling:
     def test_alg2_exponents_quick(self):
@@ -422,3 +443,16 @@ class TestScaling:
 
     def test_default_grids_cover_all_schemes(self):
         assert set(DEFAULT_SCALING_T_GRID) == {"trotter", "strang", "alg1", "alg2"}
+
+    # Panel seeds of the scaling-bisect benchmark at seeds 93, 100, 153, 169,
+    # 197, 227, 236 and 279. A trotter grid reaching ||H|| t = 2.1 (0.05 to
+    # 0.4) fits exponents of 1.76-1.79 on them, outside the band.
+    @pytest.mark.parametrize("seed", [
+        1308746342, 1881030729, 124734866, 1677412232,
+        1287923920, 1260387136, 118911457, 1494883876,
+    ])
+    def test_trotter_default_grid_exponent_on_three_qubits(self, seed):
+        cfg = ScalingConfig(schemes=("trotter",), n_qubits=3, seed=seed)
+        cell = scaling_cross_check(cfg).per_scheme["trotter"]
+        assert not cell["failures"]
+        assert abs(cell["exponent_t"] - 2.0) <= 0.2, cell["exponent_t"]

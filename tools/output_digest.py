@@ -2,19 +2,20 @@
 """One SHA-256 per CLI call, to compare the outputs of two trees.
 
 Runs every call of the four ``perfbench/workloads.py`` workloads at full size
-for each of the seeds 1-3, then the calls of ``EXTRA_CALLS``: three scaling
-configs that the benchmark's default grids leave out and two Lemma-1
-campaigns. All run in process, with one BLAS thread unless the caller sets
-``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS``. It
-prints one line per call: its name, its subcommand and the SHA-256 of its
-exit code, stdout, stderr and the bytes of each file it writes. The work
-directory's path is replaced by a placeholder before hashing, so two runs
-agree exactly when their outputs do.
+for each of the seeds 1-3, then the calls of ``EXTRA_CALLS``: four scaling
+configs that the benchmark leaves out, three Lemma-1 campaigns and two
+Lemma-2 searches. All run in process, with one BLAS thread unless the
+caller sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or
+``MKL_NUM_THREADS``. It prints one line per call: its name, its subcommand
+and the SHA-256 of its exit code, stdout, stderr and the bytes of each file
+it writes. The work directory's path is replaced by a placeholder before
+hashing, so two runs agree exactly when their outputs do.
 
     python3 tools/output_digest.py --src src > head.txt
     python3 tools/output_digest.py --src ../base/src > base.txt
     diff base.txt head.txt
     OPENBLAS_NUM_THREADS=2 python3 tools/output_digest.py --src src | diff head.txt -
+    taskset -c 0 python3 tools/output_digest.py --src src | diff head.txt -
 
 The inputs always come from this tree's ``perfbench/``, which is read only;
 ``--src`` picks the ``splitsim`` package under test.
@@ -34,12 +35,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
-# Name, then the scaling config or the bound-check arguments. The scaling
-# configs are the README example, list-form t_values with a couplings object
-# and a k_cap that leaves failures, and mapping-form t_values with a
-# panel_size. CI also runs both campaigns in process and sharded; only the
-# 2,500-instance one has shards longer than one evaluation chunk, so its
-# shards cross chunk boundaries.
+# Name, then a scaling config or the arguments of a call before ``--out``.
+# The scaling configs are the README example, list-form t_values with a
+# couplings object and a k_cap that leaves failures, mapping-form t_values
+# with a panel_size, and the 3-qubit default grids. Only the 2,500-instance
+# campaign has shards longer than one evaluation chunk, so its shards cross
+# chunk boundaries. Run under ``taskset -c 0``, every campaign stays in
+# process, so comparing with a run on more cores compares with the shards.
 EXTRA_CALLS = (
     ("scaling-readme", {"schemes": ["strang", "alg2"], "fixed_eps": 1e-4, "fixed_t": 1.0}),
     ("scaling-list", {
@@ -52,8 +54,12 @@ EXTRA_CALLS = (
         "t_values": {"strang": [2.0, 4.0, 8.0], "alg1": [0.5, 1.0, 2.0]},
         "eps_values": [1e-3, 1e-4], "panel_size": 8, "seed": 3, "n_qubits": 2,
     }),
-    ("bound-check-1000", ["--instances", "1000", "--seed", "5"]),
-    ("bound-check-2500", ["--instances", "2500", "--seed", "11"]),
+    ("scaling-3-qubits", {"n_qubits": 3}),
+    ("bound-check-300", ["bound-check", "--instances", "300", "--seed", "5"]),
+    ("bound-check-1000", ["bound-check", "--instances", "1000", "--seed", "5"]),
+    ("bound-check-2500", ["bound-check", "--instances", "2500", "--seed", "11"]),
+    ("verify-lemma2-33", ["verify-lemma2", "--n", "33"]),
+    ("verify-lemma2-64", ["verify-lemma2", "--n", "64"]),
 )
 
 
@@ -83,7 +89,7 @@ def _extra_call(workloads, spec, work: Path):
         config.write_text(json.dumps(spec))
         argv = ("scaling", "--config", str(config), "--out", out)
     else:
-        argv = ("bound-check", *spec, "--out", out)
+        argv = (*spec, "--out", out)
     return workloads.Call(argv, (out,), check=None)
 
 
